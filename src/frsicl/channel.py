@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence
 
 from .config import WorldConfig
 
@@ -39,7 +39,11 @@ def elevation_angle(uav_pos: Sequence[float], sensor_pos: Sequence[float]) -> fl
 
 def los_probability(phi_deg: float, a: float, b: float) -> float:
     """Sigmoid LoS probability 1 / (1 + a exp(-b (phi - a))), phi in degrees."""
-    return 1.0 / (1.0 + a * math.exp(-b * (phi_deg - a)))
+    x = -b * (phi_deg - a)
+    # exp overflows past 709; the probability is then below 1e-300
+    if x > 700.0:
+        return 0.0
+    return 1.0 / (1.0 + a * math.exp(x))
 
 
 def slant_distance(uav_pos: Sequence[float], sensor_pos: Sequence[float]) -> float:

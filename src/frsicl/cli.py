@@ -11,10 +11,10 @@ import os
 import sys
 from typing import List, Optional
 
-from .config import ConfigError, WorldConfig
+from .config import ConfigError, WorldConfig, load_world_config
 from .env import init_world
-from .harness import (ExperimentSpec, ReplayDivergence, load_config,
-                      replay_steps_csv, run_experiment, sweep_sensors)
+from .harness import (ExperimentSpec, ReplayDivergence, replay_steps_csv,
+                      run_experiment, sweep_sensors)
 from .icl import IclConfig
 from .ppo import PpoConfig, evaluate, load_params, save_params, train
 
@@ -37,11 +37,9 @@ def _parse_seeds(text: str) -> List[int]:
         raise ConfigError(f"--seed expects an integer or comma list, got {text!r}")
 
 
-def _world_from_args(args) -> WorldConfig:
-    cfg = load_config(args.config) if args.config else WorldConfig()
-    if getattr(args, "n_sensors", None):
-        cfg = cfg.replace(n_sensors=args.n_sensors)
-    return cfg
+def _config_from_args(args) -> WorldConfig:
+    """The --config file, or the defaults when none is given."""
+    return load_world_config(args.config) if args.config else WorldConfig()
 
 
 def _icl_from_args(args, policy: str) -> IclConfig:
@@ -121,7 +119,7 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
 
     try:
         if args.command == "run":
-            cfg = _world_from_args(args)
+            cfg = _config_from_args(args)
             spec = ExperimentSpec(
                 world=cfg, policy=args.policy, seeds=_parse_seeds(args.seed),
                 out_dir=args.out_dir, icl=_icl_from_args(args, args.policy),
@@ -133,7 +131,7 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
             return EXIT_OK
 
         if args.command == "sweep":
-            cfg = _world_from_args(args)
+            cfg = _config_from_args(args)
             policies = [p for p in args.policies.split(",") if p]
             counts = [int(c) for c in args.counts.split(",")]
             icl_cfg = _icl_from_args(args, "icl" if "icl" in policies else "")
@@ -147,7 +145,7 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
             return EXIT_OK
 
         if args.command == "train-ppo":
-            cfg = load_config(args.config) if args.config else WorldConfig()
+            cfg = _config_from_args(args)
             seed = _parse_seeds(args.seed)[0]
             os.makedirs(args.out_dir, exist_ok=True)
             ppo_cfg = PpoConfig(episodes=args.episodes,
@@ -161,7 +159,7 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
             return EXIT_OK
 
         if args.command == "eval-ppo":
-            cfg = load_config(args.config) if args.config else WorldConfig()
+            cfg = _config_from_args(args)
             seed = _parse_seeds(args.seed)[0]
             params = load_params(args.params)
             world = init_world(cfg, seed=seed)
@@ -172,7 +170,7 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
             return EXIT_OK
 
         if args.command == "replay":
-            cfg = load_config(args.config) if args.config else WorldConfig()
+            cfg = _config_from_args(args)
             n_runs = replay_steps_csv(args.steps_csv, cfg)
             print(f"replay ok: {n_runs} run(s) verified")
             return EXIT_OK

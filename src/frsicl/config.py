@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 LIGHT_SPEED_MPS = 299792458.0
@@ -45,7 +46,6 @@ class WorldConfig:
     success_model: str = "threshold"  # "threshold" | "logistic"
     snr_threshold_db: float = 5.0
     logistic_scale_db: float = 2.0
-    queue_cap: int = 40
     battery_j: float = 50.0
     e_tx_j: float = 0.05
     aoi_cap_s: Optional[float] = 40.0
@@ -54,6 +54,13 @@ class WorldConfig:
     def replace(self, **kwargs) -> "WorldConfig":
         return dataclasses.replace(self, **kwargs)
 
+
+_INT_FIELDS = ("n_sensors", "n_steps", "seed")
+
+# Every float field; aoi_cap_s may also be None.
+_REAL_FIELDS = tuple(
+    f.name for f in dataclasses.fields(WorldConfig)
+    if f.name not in _INT_FIELDS + ("orbit_center", "success_model", "aoi_cap_s"))
 
 _POSITIVE_FIELDS = (
     "area_size_m",
@@ -64,8 +71,8 @@ _POSITIVE_FIELDS = (
     "orbit_radius_m",
     "carrier_hz",
     "light_speed_mps",
+    "env_a",
     "logistic_scale_db",
-    "queue_cap",
     "battery_j",
     "e_tx_j",
 )
@@ -76,6 +83,19 @@ def validate_config(cfg: WorldConfig) -> WorldConfig:
 
     The error message names the first violated field.
     """
+    for name in _INT_FIELDS:
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+    reals = [(name, getattr(cfg, name)) for name in _REAL_FIELDS]
+    reals += [("orbit_center", c) for c in cfg.orbit_center]
+    if cfg.aoi_cap_s is not None:
+        reals.append(("aoi_cap_s", cfg.aoi_cap_s))
+    for name, value in reals:
+        if not _is_real(value):
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be >= 0")
     if cfg.v_min_mps < 0:
         raise ConfigError("v_min_mps must be >= 0")
     if cfg.v_max_mps <= 0:
@@ -97,6 +117,16 @@ def validate_config(cfg: WorldConfig) -> WorldConfig:
     return cfg
 
 
+def _is_real(value) -> bool:
+    """A finite int or float, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 _FIELD_NAMES = {f.name for f in dataclasses.fields(WorldConfig)}
 
 
@@ -114,8 +144,10 @@ def config_from_dict(data: dict) -> WorldConfig:
     kwargs = dict(data)
     if "orbit_center" in kwargs:
         oc = kwargs["orbit_center"]
-        if not (isinstance(oc, (list, tuple)) and len(oc) == 2):
-            raise ConfigError("orbit_center must be a 2-element [x, y] list")
+        if not (isinstance(oc, (list, tuple)) and len(oc) == 2
+                and all(map(_is_real, oc))):
+            raise ConfigError("orbit_center must be a 2-element [x, y] list "
+                              "of finite numbers")
         kwargs["orbit_center"] = (float(oc[0]), float(oc[1]))
     return validate_config(WorldConfig(**kwargs))
 

@@ -82,32 +82,24 @@ def attempt_collection(world: World, sensor_id: int) -> bool:
     sensor.battery_j -= cfg.e_tx_j
     lb = channel.link_budget(world.uav.pos, sensor.pos, cfg)
     if cfg.success_model == "threshold":
-        success = lb.success_p >= 1.0
-    else:
-        success = world.env_rng.random() < lb.success_p
-    if success:
-        sensor.queue_len = 0
-    return success
+        return lb.success_p >= 1.0
+    return world.env_rng.random() < lb.success_p
 
 
 def update_aoi(world: World, selected: int, success: bool) -> None:
-    """Frame-end AoI and queue update.
+    """Frame-end AoI update.
 
-    Every sensor generates one packet per frame (queue +1, saturating at
-    queue_cap). Generate-at-will: a successful collection resets the selected
-    sensor's AoI to dt (fresh sample generated at frame start, delivered by
-    frame end); every other sensor, and the selected one on failure, ages
-    by dt. The optional aoi_cap_s clips afterwards.
+    Generate-at-will: a successful collection resets the selected sensor's
+    AoI to dt (fresh sample generated at frame start, delivered by frame
+    end); every other sensor, and the selected one on failure, ages by dt.
+    The optional aoi_cap_s clips afterwards.
     """
     cfg = world.cfg
     frame_start = world.t_s
     for sensor in world.sensors:
-        sensor.queue_len = min(sensor.queue_len + 1, cfg.queue_cap)
-    for sensor in world.sensors:
         if success and sensor.id == selected:
             sensor.last_gen_s = frame_start
             sensor.aoi_s = cfg.dt_s
-            sensor.queue_len = 0
         else:
             sensor.aoi_s += cfg.dt_s
         if cfg.aoi_cap_s is not None:
@@ -156,7 +148,6 @@ def observe(world: World) -> Observation:
             aoi_s=sensor.aoi_s,
             path_loss_db=lb.path_loss_db,
             snr_db=lb.snr_db,
-            queue_len=sensor.queue_len,
             battery_j=sensor.battery_j,
             eligible=eligible,
             distance_m=channel.horizontal_distance(world.uav.pos, sensor.pos),

@@ -11,8 +11,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import ConfigError, WorldConfig, load_world_config, validate_config
-from .env import World, init_world, run_episode, step as env_step
+from .config import ConfigError, WorldConfig
+from .env import init_world, run_episode, step as env_step
 from .icl import IclConfig, IclPolicy
 from .policies import MaxAoiPolicy, NearestNeighborPolicy, RoundRobinPolicy
 from .ppo import PpoPolicy, load_params
@@ -50,12 +50,6 @@ class ExperimentSpec:
                               f"choose one of {POLICY_NAMES}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("replicate seeds must be distinct")
-
-
-def load_config(path: str) -> WorldConfig:
-    """Parse the flat world-config JSON; absent fields take the defaults,
-    unknown keys are rejected."""
-    return load_world_config(path)
 
 
 def build_policy(spec: ExperimentSpec):

@@ -13,9 +13,8 @@ from __future__ import annotations
 import json
 import os
 import re
-import time
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import requests
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -17,7 +17,7 @@ from ..rng import RngStream
 from ..states import Action, Observation, StepRecord
 from .backends import BackendError, CompletionRequest, make_backend
 from .parsing import ParseError, parse_action
-from .pool import DEFAULT_CAPACITY, ExperiencePool, record_feedback
+from .pool import DEFAULT_CAPACITY, ExperiencePool, ExperienceRecord
 from .prompts import build_step_prompt, build_system_prompt, corrective_line
 
 
@@ -65,16 +65,19 @@ class LlmExchange:
 def icl_decide(obs: Observation, pool: ExperiencePool, backend,
                world_cfg: WorldConfig, icl_cfg: IclConfig,
                exchange_log: List[LlmExchange], step_index: int,
-               system_prompt: Optional[str] = None) -> Action:
+               system_prompt: Optional[str] = None,
+               features: Optional[np.ndarray] = None) -> Action:
     """Total decision function: never raises, always returns a valid Action.
 
     Each parse failure appends a corrective line quoting the output grammar
     and retries; backend errors count as failed attempts too. After
     max_retries extra attempts the greedy max-AoI fallback decides.
+    `features` is feature_vector(obs, world_cfg), computed here if not given.
     """
     if system_prompt is None:
         system_prompt = build_system_prompt(world_cfg)
-    features = feature_vector(obs, world_cfg)
+    if features is None:
+        features = feature_vector(obs, world_cfg)
     examples = pool.retrieve(features, icl_cfg.top_k_examples)
     user = build_step_prompt(obs, examples, world_cfg)
 
@@ -126,16 +129,22 @@ class IclPolicy:
         self.exchanges: List[LlmExchange] = []
         self.system_prompt = build_system_prompt(world_cfg)
         self._step_index = 0
+        self._features: Optional[np.ndarray] = None  # of the last decided obs
 
     def decide(self, obs: Observation, rng: RngStream) -> Action:
+        self._features = feature_vector(obs, self.world_cfg)
         return icl_decide(obs, self.pool, self.backend, self.world_cfg,
                           self.icl_cfg, self.exchanges, self._step_index,
-                          system_prompt=self.system_prompt)
+                          system_prompt=self.system_prompt,
+                          features=self._features)
 
     def feedback(self, obs: Observation, record: StepRecord) -> None:
-        features = feature_vector(obs, self.world_cfg)
-        record_feedback(self.pool, features, record.action,
-                        record.avg_aoi_s, record.step)
+        """Store the frame just decided: the features decide computed for
+        `obs`, the action taken, and the mean AoI before and after it."""
+        self.pool.add(ExperienceRecord(
+            features=self._features, action=record.action,
+            outcome_avg_aoi=record.avg_aoi_s, step=record.step,
+            avg_aoi_before_s=sum(r.aoi_s for r in obs.rows) / len(obs.rows)))
         self._step_index += 1
 
     def write_exchange_log(self, path: str) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 from ..config import WorldConfig
 from ..env import clamp_velocity
@@ -12,6 +13,7 @@ NO_OBJECT = "no-object-found"
 MISSING_FIELD = "missing-field"
 SENSOR_OUT_OF_RANGE = "sensor-out-of-range"
 NON_NUMERIC = "non-numeric"
+NON_FINITE = "non-finite"
 
 
 class ParseError(ValueError):
@@ -58,14 +60,15 @@ def parse_action(raw: str, cfg: WorldConfig) -> Action:
     """Scan raw text for the first balanced JSON object and read the action.
 
     Surrounding prose is ignored. The sensor must be an integer in
-    [1, n_sensors]; the velocity must be numeric and is clamped into the
-    configured bounds.
+    [1, n_sensors]; the velocity must be a finite number and is clamped
+    into the configured bounds.
     """
     obj = None
     for candidate in _first_object_literal(raw):
         try:
             parsed = json.loads(candidate)
-        except json.JSONDecodeError:
+        # ValueError also covers integer literals over Python's digit limit
+        except (ValueError, RecursionError):
             continue
         if isinstance(parsed, dict):
             obj = parsed
@@ -84,5 +87,10 @@ def parse_action(raw: str, cfg: WorldConfig) -> Action:
                          f"sensor {sensor} outside 1..{cfg.n_sensors}")
     if isinstance(velocity, bool) or not isinstance(velocity, (int, float)):
         raise ParseError(NON_NUMERIC, f"velocity must be numeric, got {velocity!r}")
-    return Action(sensor=sensor,
-                  velocity_mps=clamp_velocity(cfg, float(velocity)))
+    try:
+        velocity = float(velocity)
+    except OverflowError:  # an integer literal too large for a float
+        velocity = math.inf
+    if not math.isfinite(velocity):
+        raise ParseError(NON_FINITE, f"velocity must be finite, got {velocity!r}")
+    return Action(sensor=sensor, velocity_mps=clamp_velocity(cfg, velocity))

@@ -1,12 +1,11 @@
-"""Bounded experience pool with similarity retrieval over normalized
+"""Bounded experience pool with nearest-neighbour retrieval over normalized
 feature vectors."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -23,100 +22,66 @@ class ExperienceRecord:
     action: Action
     outcome_avg_aoi: float
     step: int
-
-    def features_avg_aoi(self) -> float:
-        """Mean normalized AoI of the recorded state (first N feature slots)."""
-        n = (len(self.features) - 4) // 2
-        return float(np.mean(self.features[:n])) if n > 0 else 0.0
-
-
-def similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Negative Euclidean distance; 0 is a perfect match."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"feature length mismatch: {a.shape} vs {b.shape}")
-    return -float(np.linalg.norm(a - b))
+    avg_aoi_before_s: float  # mean AoI of the observed state, seconds
 
 
 class ExperiencePool:
-    """Ring buffer of ExperienceRecords; eviction is oldest-first."""
+    """Ring buffer of ExperienceRecords; eviction is oldest-first.
+
+    Row i of one (capacity, F) matrix holds the features of the record in
+    slot i; F is fixed by the first add.
+    """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
+        self._count = 0  # records ever added; the next one goes to row count % capacity
         self._records: List[ExperienceRecord] = []
-        self._insert_counter = 0
-        self._insert_ids: List[int] = []
+        self._rows: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return len(self._records)
 
     @property
     def records(self) -> Sequence[ExperienceRecord]:
-        return tuple(self._records)
+        """Oldest first."""
+        head = self._count % self.capacity
+        return tuple(self._records[head:] + self._records[:head])
+
+    def _check_length(self, features: np.ndarray) -> None:
+        if features.shape != self._rows.shape[1:]:
+            raise ValueError(f"feature length mismatch: {features.shape} "
+                             f"vs {self._rows.shape[1:]}")
 
     def add(self, record: ExperienceRecord) -> None:
         if not math.isfinite(record.outcome_avg_aoi) or record.outcome_avg_aoi < 0:
             raise ValueError("outcome_avg_aoi must be finite and >= 0")
-        self._records.append(record)
-        self._insert_ids.append(self._insert_counter)
-        self._insert_counter += 1
-        if len(self._records) > self.capacity:
-            del self._records[0]
-            del self._insert_ids[0]
+        features = np.asarray(record.features, dtype=np.float64)
+        if self._rows is None:
+            self._rows = np.empty((self.capacity, len(features)))
+        self._check_length(features)
+        row = self._count % self.capacity
+        self._rows[row] = features
+        if row < len(self._records):
+            self._records[row] = record
+        else:
+            self._records.append(record)
+        self._count += 1
 
     def retrieve(self, current: np.ndarray, k: int) -> List[ExperienceRecord]:
-        """Top-k most similar records; similarity ties go to the newer
-        record; the result is in chronological (insertion) order."""
+        """Top-k records by Euclidean distance to `current`; distance ties
+        go to the newer record; the result is oldest first."""
         if k <= 0 or not self._records:
             return []
-        scored = sorted(
-            zip(self._records, self._insert_ids),
-            key=lambda pair: (similarity(pair[0].features, current), pair[1]),
-            reverse=True,
-        )
-        picked = scored[:k]
-        picked.sort(key=lambda pair: pair[1])
-        return [record for record, _ in picked]
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "capacity": self.capacity,
-            "insert_counter": self._insert_counter,
-            "records": [
-                {
-                    "features": rec.features.tolist(),
-                    "sensor": rec.action.sensor,
-                    "velocity_mps": rec.action.velocity_mps,
-                    "outcome_avg_aoi": rec.outcome_avg_aoi,
-                    "step": rec.step,
-                    "insert_id": iid,
-                }
-                for rec, iid in zip(self._records, self._insert_ids)
-            ],
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperiencePool":
-        data = json.loads(text)
-        pool = cls(capacity=data["capacity"])
-        for item in data["records"]:
-            pool._records.append(ExperienceRecord(
-                features=np.array(item["features"], dtype=np.float64),
-                action=Action(sensor=item["sensor"],
-                              velocity_mps=item["velocity_mps"]),
-                outcome_avg_aoi=item["outcome_avg_aoi"],
-                step=item["step"],
-            ))
-            pool._insert_ids.append(item["insert_id"])
-        pool._insert_counter = data["insert_counter"]
-        return pool
-
-
-def record_feedback(pool: ExperiencePool, features: np.ndarray, action: Action,
-                    outcome_avg_aoi: float, step: int) -> None:
-    pool.add(ExperienceRecord(features=np.asarray(features, dtype=np.float64),
-                              action=action, outcome_avg_aoi=outcome_avg_aoi,
-                              step=step))
+        current = np.asarray(current, dtype=np.float64)
+        self._check_length(current)
+        n = len(self._records)
+        diff = self._rows[:n] - current
+        # vecdot gives the same bits as one norm(a - b) per record;
+        # norm(axis=1) and einsum round differently and can split ties.
+        distance = np.sqrt(np.vecdot(diff, diff))
+        age = (self._count - 1 - np.arange(n)) % self.capacity  # 0 = newest
+        picked = np.lexsort((age, distance))[:k]
+        oldest_first = sorted(picked, key=age.__getitem__, reverse=True)
+        return [self._records[i] for i in oldest_first]

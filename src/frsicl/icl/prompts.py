@@ -61,7 +61,7 @@ def build_system_prompt(cfg: WorldConfig) -> str:
 def _format_example(record, index: int) -> str:
     return ("example %d: avg_aoi_before=%.2f -> action "
             '{"sensor": %d, "velocity": %.2f} -> resulting_avg_aoi=%.3f'
-            % (index, float(record.features_avg_aoi()), record.action.sensor,
+            % (index, record.avg_aoi_before_s, record.action.sensor,
                record.action.velocity_mps, record.outcome_avg_aoi))
 
 

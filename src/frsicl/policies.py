@@ -7,11 +7,11 @@ lowest sensor id so episodes replay deterministically.
 
 from __future__ import annotations
 
-from typing import Optional, Protocol, Sequence
+from typing import Protocol, Sequence
 
 from .config import WorldConfig
 from .rng import RngStream
-from .states import Action, Observation, ObsRow, RunSummary
+from .states import Action, Observation, ObsRow
 
 
 class Policy(Protocol):
@@ -73,13 +73,3 @@ class RoundRobinPolicy:
         sensor = (self.counter % self.n) + 1
         self.counter += 1
         return Action(sensor=sensor, velocity_mps=self.velocity)
-
-
-class FixedPolicy:
-    """Test helper: the same action every frame."""
-
-    def __init__(self, action: Action):
-        self.action = action
-
-    def decide(self, obs: Observation, rng: RngStream) -> Action:
-        return self.action

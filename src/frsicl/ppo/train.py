@@ -4,7 +4,7 @@ fully seeded. Reward is the negative per-frame average AoI."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -17,7 +17,7 @@ from ..states import Action, RunSummary
 from .adam import AdamState, adam_update
 from .gae import gae_advantages, normalize_advantages
 from .loss import Minibatch, ppo_loss_and_grads
-from .net import (MlpParams, forward, init_params, log_softmax, sample_action,
+from .net import (MlpParams, forward, init_params, sample_action,
                   velocity_from_bin)
 
 

@@ -2,19 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 
 @dataclass
 class SensorState:
-    """One ground sensor: position, current AoI, queue and battery."""
+    """One ground sensor: position, current AoI and battery."""
 
     id: int  # 1-based
     pos: Tuple[float, float]
     aoi_s: float = 0.0
     last_gen_s: float = 0.0
-    queue_len: int = 0
     battery_j: float = 0.0
 
 
@@ -43,7 +42,6 @@ class ObsRow:
     aoi_s: float
     path_loss_db: float
     snr_db: float
-    queue_len: int
     battery_j: float
     eligible: bool
     distance_m: float

@@ -103,10 +103,15 @@ def central_difference_grad(loss_fn, params, h: float = 1e-5) -> np.ndarray:
 # --- retrieval sort oracle ------------------------------------------------
 
 def brute_force_top_k(records: List, current: np.ndarray, k: int) -> List:
-    """Top-k by negative Euclidean distance (all similarities distinct),
-    returned in insertion order."""
-    indexed = list(enumerate(records))
-    indexed.sort(key=lambda pair: -float(np.linalg.norm(pair[1].features - current)),
-                 reverse=True)
-    picked = sorted(indexed[:k], key=lambda pair: pair[0])
+    """The experience pool's sort-based retrieval before its matrix-backed
+    rewrite: rank `records` (oldest first) by negative Euclidean distance,
+    one norm per record, with ties going to the newer record; return the
+    top k in insertion order."""
+    if k <= 0 or not records:
+        return []
+    scored = sorted(
+        enumerate(records),
+        key=lambda pair: (-float(np.linalg.norm(pair[1].features - current)), pair[0]),
+        reverse=True)
+    picked = sorted(scored[:k], key=lambda pair: pair[0])
     return [rec for _, rec in picked]

@@ -176,14 +176,21 @@ def test_7_robustness_fuzz_and_fallback():
     with criterion(7, "parse fuzz and fallback", 10.0):
         cfg = WorldConfig()
         rng = np.random.default_rng(7)
-        for _ in range(1000):
+        # Every fourth input is a well-formed action whose velocity may be
+        # a literal Python's json reads as a non-finite float.
+        velocities = ("NaN", "Infinity", "-Infinity", "1e999", "-1e400", "7.5", "1e308")
+        for i in range(1000):
             raw = bytes(rng.integers(0, 256, rng.integers(0, 300))).decode(
                 "utf-8", errors="replace")
+            if i % 4 == 0:
+                raw += '{"sensor": %d, "velocity": %s}' % (
+                    rng.integers(1, cfg.n_sensors + 1), rng.choice(velocities))
             try:
                 action = parse_action(raw, cfg)
             except ParseError:
                 continue
             assert 1 <= action.sensor <= cfg.n_sensors
+            assert math.isfinite(action.velocity_mps)
             assert 0.0 <= action.velocity_mps <= cfg.v_max_mps
         for seed in (0, 1):
             world = init_world(cfg, seed=seed)

@@ -8,10 +8,20 @@ from hypothesis import strategies as st
 from frsicl.config import WorldConfig
 from frsicl.env import (HorizonError, advance_uav, attempt_collection,
                         init_world, observe, run_episode, step, update_aoi)
-from frsicl.policies import FixedPolicy, RoundRobinPolicy
+from frsicl.policies import RoundRobinPolicy
 from frsicl.states import Action
 
 CFG = WorldConfig()
+
+
+class FixedPolicy:
+    """The same action every frame."""
+
+    def __init__(self, action: Action):
+        self.action = action
+
+    def decide(self, obs, rng) -> Action:
+        return self.action
 
 
 def world_with_sensor_at(pos, cfg=CFG, seed=0):
@@ -31,7 +41,7 @@ class TestInitWorld:
         assert len(w.sensors) == 10
         for s in w.sensors:
             assert 0 <= s.pos[0] <= 100 and 0 <= s.pos[1] <= 100
-            assert s.aoi_s == 0.0 and s.queue_len == 0
+            assert s.aoi_s == 0.0
             assert s.battery_j == CFG.battery_j
 
     def test_initial_avg_aoi_zero(self):
@@ -101,7 +111,6 @@ class TestUpdateAoi:
         update_aoi(w, selected=2, success=True)
         assert [s.aoi_s for s in w.sensors] == [4.0, 1.0]
         assert w.sensors[1].last_gen_s == 8.0
-        assert w.sensors[1].queue_len == 0
 
     def test_failure_ages_everyone(self):
         cfg = CFG.replace(n_sensors=2)
@@ -115,12 +124,6 @@ class TestUpdateAoi:
         w.sensors[0].aoi_s = 40.0
         update_aoi(w, selected=2, success=False)
         assert w.sensors[0].aoi_s == 40.0
-
-    def test_queue_saturates_at_cap(self):
-        w = init_world(CFG, seed=0)
-        w.sensors[0].queue_len = CFG.queue_cap
-        update_aoi(w, selected=2, success=False)
-        assert w.sensors[0].queue_len == CFG.queue_cap
 
 
 class TestStep:

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from frsicl.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, cli_main
-from frsicl.config import ConfigError, WorldConfig
+from frsicl.config import ConfigError, WorldConfig, load_world_config
 from frsicl.harness import (ExperimentSpec, ReplayDivergence, fmt,
-                            load_config, replay_steps_csv, run_experiment,
-                            sweep_sensors)
+                            replay_steps_csv, run_experiment, sweep_sensors)
 
 CFG = WorldConfig()
 
@@ -37,12 +36,12 @@ class TestLoadConfig:
     def test_empty_object_gives_defaults(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{}")
-        assert load_config(str(path)) == WorldConfig()
+        assert load_world_config(str(path)) == WorldConfig()
 
     def test_override_applies(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"n_sensors": 15}))
-        cfg = load_config(str(path))
+        cfg = load_world_config(str(path))
         assert cfg.n_sensors == 15
         assert cfg.n_steps == 30  # untouched default
 
@@ -50,7 +49,7 @@ class TestLoadConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"n_sensor": 15}))
         with pytest.raises(ConfigError, match="unknown config key"):
-            load_config(str(path))
+            load_world_config(str(path))
 
 
 class TestExperimentSpec:

@@ -6,6 +6,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frsicl.config import WorldConfig
 from frsicl.env import init_world, observe, run_episode
@@ -13,10 +15,10 @@ from frsicl.icl import (BackendError, CompletionRequest, ExperiencePool,
                         ExperienceRecord, HttpBackend, IclConfig, IclPolicy,
                         MockBackend, ParseError, build_step_prompt,
                         build_system_prompt, icl_decide, make_backend,
-                        parse_action, similarity)
+                        parse_action)
 from frsicl.icl.backends import _parse_step_prompt
-from frsicl.icl.parsing import (MISSING_FIELD, NO_OBJECT, NON_NUMERIC,
-                                SENSOR_OUT_OF_RANGE)
+from frsicl.icl.parsing import (MISSING_FIELD, NO_OBJECT, NON_FINITE,
+                                NON_NUMERIC, SENSOR_OUT_OF_RANGE)
 from frsicl.policies import max_aoi_decide, nearest_neighbor_decide
 from frsicl.states import Action, Observation, ObsRow
 
@@ -31,17 +33,19 @@ def make_obs(aois, path_losses=None, eligible=None, t_s=0.0):
     eligible = eligible if eligible is not None else [True] * n
     rows = tuple(
         ObsRow(id=i + 1, aoi_s=float(aois[i]), path_loss_db=float(path_losses[i]),
-               snr_db=20.0 - path_losses[i] - (-90.0), queue_len=0,
+               snr_db=20.0 - path_losses[i] - (-90.0),
                battery_j=50.0, eligible=eligible[i],
                distance_m=float(path_losses[i]))
         for i in range(n))
     return Observation(t_s=t_s, uav_pos=(85.0, 50.0, 10.0), rows=rows)
 
 
-def make_record(features, sensor=1, velocity=7.5, outcome=3.0, step=0):
+def make_record(features, sensor=1, velocity=7.5, outcome=3.0, step=0,
+                before=2.0):
     return ExperienceRecord(features=np.asarray(features, dtype=np.float64),
                             action=Action(sensor=sensor, velocity_mps=velocity),
-                            outcome_avg_aoi=outcome, step=step)
+                            outcome_avg_aoi=outcome, step=step,
+                            avg_aoi_before_s=before)
 
 
 class TestPrompts:
@@ -89,17 +93,23 @@ class TestPrompts:
 
 
 class TestSimilarity:
-    def test_three_four_five(self):
-        assert similarity(np.array([0.0, 0.0]), np.array([3.0, 4.0])) == -5.0
+    """Retrieval ranks records by Euclidean distance to the query."""
 
-    def test_symmetric_and_self(self):
-        a, b = np.array([1.0, 2.0, 3.0]), np.array([0.5, 2.5, -1.0])
-        assert similarity(a, b) == similarity(b, a)
-        assert similarity(a, a) == 0.0
+    def test_three_four_five(self):
+        pool = ExperiencePool(8)
+        pool.add(make_record([3.0, 4.0], sensor=1))  # L2 5, L1 7
+        pool.add(make_record([0.0, 5.5], sensor=2))  # L2 5.5, L1 5.5
+        pool.add(make_record([5.0, 0.0], sensor=3))  # L2 5, exactly as [3, 4]
+        assert [r.action.sensor for r in pool.retrieve(np.zeros(2), 1)] == [3]
+        assert [r.action.sensor for r in pool.retrieve(np.zeros(2), 2)] == [1, 3]
 
     def test_length_mismatch_raises(self):
+        pool = ExperiencePool(4)
+        pool.add(make_record([0.0, 0.0, 0.0]))
         with pytest.raises(ValueError, match="mismatch"):
-            similarity(np.zeros(3), np.zeros(4))
+            pool.retrieve(np.zeros(4), 1)
+        with pytest.raises(ValueError, match="mismatch"):
+            pool.add(make_record([0.0, 0.0]))
 
 
 class TestExperiencePool:
@@ -148,17 +158,41 @@ class TestExperiencePool:
         assert len(pool) == 4
         assert [r.step for r in pool.records] == [1, 2, 3, 4]
 
-    def test_json_round_trip(self):
-        pool = ExperiencePool(8)
-        rng = np.random.default_rng(3)
-        for i in range(6):
-            pool.add(make_record(rng.normal(size=4), sensor=i + 1,
-                                 velocity=1.5 * i, outcome=float(i), step=i))
-        restored = ExperiencePool.from_json(pool.to_json())
-        query = rng.normal(size=4)
-        assert [r.action for r in restored.retrieve(query, 3)] == \
-            [r.action for r in pool.retrieve(query, 3)]
-        assert len(restored) == len(pool)
+    @settings(max_examples=300, deadline=None)
+    @given(capacity=st.integers(1, 12), dim=st.integers(1, 24),
+           data=st.data())
+    def test_matches_sort_oracle(self, capacity, dim, data):
+        # Few distinct coordinates, so exact duplicates and equal distances
+        # are common; up to three times capacity adds, so the ring wraps.
+        coords = st.sampled_from([0.0, 0.1, 0.3, 0.5, 1.0, -1.0])
+        vectors = st.lists(coords, min_size=dim, max_size=dim)
+        pool = ExperiencePool(capacity)
+        added = []
+        for i, features in enumerate(data.draw(
+                st.lists(vectors, max_size=3 * capacity), label="adds")):
+            added.append(make_record(features, step=i))
+            pool.add(added[-1])
+        kept = added[-capacity:]
+        assert [id(r) for r in pool.records] == [id(r) for r in kept]
+        query = np.array(data.draw(vectors, label="query"))
+        k = data.draw(st.integers(0, capacity + 2), label="k")
+        assert [id(r) for r in pool.retrieve(query, k)] == \
+            [id(r) for r in brute_force_top_k(kept, query, k)]
+
+    def test_near_tie_ranked_like_one_norm_per_record(self):
+        # Both squared distances are 20.64 in exact arithmetic; one norm per
+        # record rounds them one ulp apart, norm(axis=1) rounds them equal.
+        a = [-1, 0, 0, .1, -1, .5, .3, 0, .1, .3, .1, -1,
+             .1, 1, -1, -1, 0, .3, 1, 1, -1, 1, 1, -1]
+        b = [.3, .1, 0, 1, .3, -1, -1, -1, .5, -1, 1, -1,
+             .1, 1, -1, 0, 0, 1, .1, .1, .3, 0, -1, 1]
+        query = np.array([-1, .5, .3, .3, .5, .5, .3, 0, 1, 1, 1, .5,
+                          .5, .3, 0, 1, -1, .3, .1, .5, -1, .5, -1, .3])
+        pool = ExperiencePool(4)
+        pool.add(make_record(b, step=0))
+        pool.add(make_record(a, step=1))
+        assert [id(r) for r in pool.retrieve(query, 1)] == \
+            [id(r) for r in brute_force_top_k(list(pool.records), query, 1)]
 
     def test_rejects_negative_outcome(self):
         with pytest.raises(ValueError):
@@ -195,6 +229,16 @@ class TestParseAction:
         ('{"sensor": 2.5, "velocity": 5}', NON_NUMERIC),
         ('{"sensor": true, "velocity": 5}', NON_NUMERIC),
         ('{"sensor": 2, "velocity": "fast"}', NON_NUMERIC),
+        ('{"sensor": 1, "velocity": NaN}', NON_FINITE),
+        ('{"sensor": 1, "velocity": Infinity}', NON_FINITE),
+        ('{"sensor": 1, "velocity": -Infinity}', NON_FINITE),
+        ('{"sensor": 1, "velocity": 1e999}', NON_FINITE),
+        pytest.param('{"sensor": 1, "velocity": 1%s}' % ("0" * 400), NON_FINITE,
+                     id="velocity-int-too-large-for-float"),
+        pytest.param('{"sensor": 1, "velocity": 1%s}' % ("0" * 5000), NO_OBJECT,
+                     id="int-over-digit-limit"),
+        pytest.param('{"sensor": 1, "x": %s}' % ("[" * 100000 + "]" * 100000),
+                     NO_OBJECT, id="nested-too-deep"),
     ])
     def test_error_tags(self, raw, tag):
         with pytest.raises(ParseError) as err:
@@ -324,10 +368,10 @@ class TestIclPolicyEpisode:
         for rec in world.log:
             assert 0.0 <= rec.action.velocity_mps <= CFG.v_max_mps
 
-    def test_examples_appear_in_later_prompts(self):
-        world = init_world(CFG, seed=3)
+    @staticmethod
+    def step_prompts(seed):
+        """The user prompt of every backend call in one mock:max-aoi episode."""
         policy = IclPolicy(CFG, IclConfig(backend="mock:max-aoi"))
-
         captured = []
         inner = policy.backend
 
@@ -337,10 +381,21 @@ class TestIclPolicyEpisode:
                 return inner.complete(request)
 
         policy.backend = Spy()
-        run_episode(world, policy)
+        run_episode(init_world(CFG, seed=seed), policy)
+        return captured
+
+    def test_examples_appear_in_later_prompts(self):
+        captured = self.step_prompts(seed=3)
         assert "example 1:" not in captured[0]
         assert "example 1:" in captured[-1]
         assert captured[-1].count("example ") == IclConfig().top_k_examples
+
+    def test_example_line_shows_mean_aoi_in_seconds(self):
+        # avg_aoi_before is the mean AoI the observation showed, in the
+        # same seconds as resulting_avg_aoi: 1.9 s at step 2, 2.7 s after it.
+        assert ('example 3: avg_aoi_before=1.90 -> action '
+                '{"sensor": 2, "velocity": 15.00} -> resulting_avg_aoi=2.700'
+                in self.step_prompts(seed=0)[3].splitlines())
 
 
 class _StubHandler(BaseHTTPRequestHandler):

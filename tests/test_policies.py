@@ -18,7 +18,7 @@ def make_obs(distances=None, aois=None, eligible=None):
     eligible = eligible if eligible is not None else [True] * n
     rows = tuple(
         ObsRow(id=i + 1, aoi_s=aois[i], path_loss_db=80.0, snr_db=30.0,
-               queue_len=0, battery_j=50.0, eligible=eligible[i],
+               battery_j=50.0, eligible=eligible[i],
                distance_m=distances[i])
         for i in range(n))
     return Observation(t_s=0.0, uav_pos=(85.0, 50.0, 10.0), rows=rows)
