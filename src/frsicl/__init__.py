@@ -3,13 +3,13 @@ AoI-minimizing schedulers: an LLM in-context-learning controller, a PPO
 baseline and greedy heuristics, over an air-to-ground LoS channel model."""
 
 from .config import ConfigError, WorldConfig, validate_config
-from .env import HorizonError, World, init_world, observe, run_episode, step
-from .states import Action, Observation, RunSummary, SensorState, StepRecord, UavState
+from .env import ActionError, HorizonError, World, init_world, observe, run_episode, step
+from .states import Action, Observation, RunSummary, StepRecord, UavState
 
 __all__ = [
-    "ConfigError", "WorldConfig", "validate_config", "HorizonError", "World",
-    "init_world", "observe", "run_episode", "step", "Action", "Observation",
-    "RunSummary", "SensorState", "StepRecord", "UavState",
+    "ConfigError", "WorldConfig", "validate_config", "ActionError",
+    "HorizonError", "World", "init_world", "observe", "run_episode", "step",
+    "Action", "Observation", "RunSummary", "StepRecord", "UavState",
 ]
 
 __version__ = "0.1.0"

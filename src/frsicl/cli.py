@@ -32,9 +32,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_seeds(text: str) -> List[int]:
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        seeds = [int(part) for part in text.split(",") if part != ""]
     except ValueError:
-        raise ConfigError(f"--seed expects an integer or comma list, got {text!r}")
+        seeds = None
+    if seeds:
+        return seeds
+    raise ConfigError(f"--seed expects an integer or comma list, got {text!r}")
 
 
 def _config_from_args(args) -> WorldConfig:

@@ -78,10 +78,21 @@ _POSITIVE_FIELDS = (
 )
 
 
+MAX_SENSORS = 10_000
+MAX_STEPS = 1_000_000
+MAX_LOGGED_AOI = 10_000_000
+
+
 def validate_config(cfg: WorldConfig) -> WorldConfig:
     """Return cfg unchanged if every invariant holds, else raise ConfigError.
 
-    The error message names the first violated field.
+    The error message names the first violated field. Size caps and their
+    reasons: N <= MAX_SENSORS, as each frame computes N link budgets and the
+    ICL prompt has a row per sensor; T <= MAX_STEPS and N * T <=
+    MAX_LOGGED_AOI, as the step log keeps one 8-byte AoI per sensor and
+    frame in memory (80 MB at the cap). Bounds that keep the run finite:
+    the orbit angle T * dt_s * v_max_mps / orbit_radius_m and the AoI sum
+    N * T * min(T * dt_s, aoi_cap_s).
     """
     for name in _INT_FIELDS:
         value = getattr(cfg, name)
@@ -105,6 +116,19 @@ def validate_config(cfg: WorldConfig) -> WorldConfig:
     for name in _POSITIVE_FIELDS:
         if getattr(cfg, name) <= 0:
             raise ConfigError(f"{name} must be strictly positive")
+    n, t = cfg.n_sensors, cfg.n_steps
+    for name, value, cap in (("n_sensors", n, MAX_SENSORS), ("n_steps", t, MAX_STEPS),
+                             ("n_sensors * n_steps", n * t, MAX_LOGGED_AOI)):
+        if value > cap:
+            raise ConfigError(f"{name} must be at most {cap}")
+    horizon_s = t * cfg.dt_s
+    if not math.isfinite(horizon_s * cfg.v_max_mps / cfg.orbit_radius_m):
+        raise ConfigError("n_steps * dt_s * v_max_mps / orbit_radius_m "
+                          "overflows: the UAV's orbit angle is not finite")
+    largest_aoi = horizon_s if cfg.aoi_cap_s is None else min(horizon_s, cfg.aoi_cap_s)
+    if not math.isfinite(n * t * largest_aoi):
+        raise ConfigError("n_sensors * n_steps * the largest AoI overflows: "
+                          "the AoI sums are not finite")
     if cfg.success_model not in ("threshold", "logistic"):
         raise ConfigError("success_model must be 'threshold' or 'logistic'")
     if cfg.aoi_cap_s is not None and cfg.aoi_cap_s <= 0:

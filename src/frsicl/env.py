@@ -4,17 +4,31 @@ AoI bookkeeping and the episode loop."""
 from __future__ import annotations
 
 import math
+import numbers
+import sys
+from array import array
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from . import channel
 from .config import WorldConfig, validate_config
 from .rng import RngStream
-from .states import Action, Observation, ObsRow, RunSummary, SensorState, StepRecord, UavState
+from .states import Action, Observation, RunSummary, StepRecord, UavState
 
 
 class HorizonError(RuntimeError):
     """step() called past the configured episode horizon."""
+
+
+class ActionError(ValueError):
+    """An action names no sensor of the world, or a non-finite velocity."""
+
+
+class SensorView(NamedTuple):
+    id: int  # 1-based
+    pos: Tuple[float, float]
 
 
 @dataclass
@@ -22,15 +36,18 @@ class World:
     cfg: WorldConfig
     t_s: float
     uav: UavState
-    sensors: List[SensorState]
-    rng: RngStream
+    # per-sensor arrays: row j of pos (N, 2), aoi_s and battery_j is sensor j + 1
+    pos: np.ndarray
+    aoi_s: np.ndarray
+    battery_j: np.ndarray
     env_rng: RngStream
     policy_rng: RngStream
     log: List[StepRecord] = field(default_factory=list)
 
     @property
-    def step_index(self) -> int:
-        return len(self.log)
+    def sensors(self) -> Tuple[SensorView, ...]:
+        """Read-only (id, pos) records of the layout."""
+        return tuple(SensorView(j, tuple(p)) for j, p in enumerate(self.pos.tolist(), 1))
 
 
 def _orbit_pos(cfg: WorldConfig, arc_s: float):
@@ -47,25 +64,19 @@ def init_world(cfg: WorldConfig, seed: Optional[int] = None) -> World:
     if seed is None:
         seed = cfg.seed
     rng = RngStream(seed)
-    layout_rng = rng.substream("layout")
-    sensors = []
-    for j in range(1, cfg.n_sensors + 1):
-        x = layout_rng.uniform(0.0, cfg.area_size_m)
-        y = layout_rng.uniform(0.0, cfg.area_size_m)
-        sensors.append(SensorState(id=j, pos=(float(x), float(y)),
-                                   battery_j=cfg.battery_j))
-    uav = UavState(pos=_orbit_pos(cfg, 0.0), arc_s=0.0, velocity_mps=0.0)
-    return World(cfg=cfg, t_s=0.0, uav=uav, sensors=sensors, rng=rng,
+    n = cfg.n_sensors
+    pos = rng.substream("layout").uniform(0.0, cfg.area_size_m, size=(n, 2))
+    uav = UavState(pos=_orbit_pos(cfg, 0.0))
+    return World(cfg=cfg, t_s=0.0, uav=uav, pos=pos, aoi_s=np.zeros(n),
+                 battery_j=np.full(n, cfg.battery_j, dtype=np.float64),
                  env_rng=rng.substream("env"), policy_rng=rng.substream("policy"))
 
 
-def advance_uav(world: World, velocity: float) -> UavState:
+def advance_uav(world: World, velocity: float) -> None:
     """Move the UAV along the circle by velocity*dt; altitude unchanged."""
     uav = world.uav
     uav.arc_s += velocity * world.cfg.dt_s
-    uav.velocity_mps = velocity
     uav.pos = _orbit_pos(world.cfg, uav.arc_s)
-    return uav
 
 
 def attempt_collection(world: World, sensor_id: int) -> bool:
@@ -76,14 +87,15 @@ def attempt_collection(world: World, sensor_id: int) -> bool:
     logistic mode draws a Bernoulli from the env substream.
     """
     cfg = world.cfg
-    sensor = world.sensors[sensor_id - 1]
-    if sensor.battery_j < cfg.e_tx_j:
+    j = sensor_id - 1
+    if world.battery_j[j] < cfg.e_tx_j:
         return False
-    sensor.battery_j -= cfg.e_tx_j
-    lb = channel.link_budget(world.uav.pos, sensor.pos, cfg)
+    world.battery_j[j] -= cfg.e_tx_j
+    _, _, snr = channel.link_budget(world.uav.pos, world.pos[j], cfg)
+    p = channel.success_probability(snr, cfg)
     if cfg.success_model == "threshold":
-        return lb.success_p >= 1.0
-    return world.env_rng.random() < lb.success_p
+        return bool(p >= 1.0)
+    return bool(world.env_rng.random() < p)
 
 
 def update_aoi(world: World, selected: int, success: bool) -> None:
@@ -94,82 +106,77 @@ def update_aoi(world: World, selected: int, success: bool) -> None:
     end); every other sensor, and the selected one on failure, ages by dt.
     The optional aoi_cap_s clips afterwards.
     """
-    cfg = world.cfg
-    frame_start = world.t_s
-    for sensor in world.sensors:
-        if success and sensor.id == selected:
-            sensor.last_gen_s = frame_start
-            sensor.aoi_s = cfg.dt_s
-        else:
-            sensor.aoi_s += cfg.dt_s
-        if cfg.aoi_cap_s is not None:
-            sensor.aoi_s = min(sensor.aoi_s, cfg.aoi_cap_s)
+    cfg, aoi = world.cfg, world.aoi_s
+    aoi += cfg.dt_s
+    if success:
+        aoi[selected - 1] = cfg.dt_s
+    if cfg.aoi_cap_s is not None:
+        np.minimum(aoi, cfg.aoi_cap_s, out=aoi)
 
 
 def clamp_velocity(cfg: WorldConfig, velocity: float) -> float:
     return min(max(velocity, cfg.v_min_mps), cfg.v_max_mps)
 
 
+def check_action(cfg: WorldConfig, action: Action) -> Tuple[int, float]:
+    """(sensor, velocity) as int and float, or ActionError: the sensor must be an
+    integer in 1..N (numpy integers count, bool does not), the velocity finite."""
+    s, v = action.sensor, action.velocity_mps
+    # exact types first: an isinstance test against a numbers ABC costs ~1 us
+    if (not (type(s) is int or isinstance(s, numbers.Integral) and not isinstance(s, bool))
+            or not 1 <= s <= cfg.n_sensors):
+        raise ActionError(f"sensor must be an integer in 1..{cfg.n_sensors}, got {s!r}")
+    # abs(v) <= max is False for nan, for inf and for an int too large for a float
+    if (not (type(v) is float or isinstance(v, numbers.Real) and not isinstance(v, bool))
+            or not abs(v) <= sys.float_info.max):
+        raise ActionError(f"velocity must be a finite number, got {v!r}")
+    return int(s), float(v)
+
+
 def step(world: World, action: Action) -> StepRecord:
-    """Advance one frame: clamp, move, collect, age, log. Fixed order."""
+    """Advance one frame: check, clamp, move, collect, age, log. Fixed order."""
     cfg = world.cfg
-    if world.step_index >= cfg.n_steps:
+    k = len(world.log)
+    if k >= cfg.n_steps:
         raise HorizonError(f"episode horizon of {cfg.n_steps} steps exceeded")
-    v = clamp_velocity(cfg, action.velocity_mps)
+    sensor, v = check_action(cfg, action)
+    v = clamp_velocity(cfg, v)
     advance_uav(world, v)
-    success = attempt_collection(world, action.sensor)
-    update_aoi(world, action.sensor, success)
+    success = attempt_collection(world, sensor)
+    update_aoi(world, sensor, success)
     world.t_s += cfg.dt_s
-    per_sensor = tuple(s.aoi_s for s in world.sensors)
-    record = StepRecord(
-        step=world.step_index,
-        action=Action(sensor=action.sensor, velocity_mps=v),
-        success=success,
-        avg_aoi_s=sum(per_sensor) / len(per_sensor),
-        per_sensor_aoi=per_sensor,
-    )
+    per_sensor = array("d", world.aoi_s.tobytes())
+    record = StepRecord(step=k, action=Action(sensor, v), success=success,
+                        avg_aoi_s=sum(per_sensor) / len(per_sensor), per_sensor_aoi=per_sensor)
     world.log.append(record)
     return record
 
 
 def observe(world: World) -> Observation:
-    """Frame-start snapshot with link budgets at the pre-move UAV position."""
+    """Frame-start snapshot with link budgets at the pre-move UAV position;
+    `aoi_s` is a copy, which step() leaves at the frame-start values."""
     cfg = world.cfg
-    rows = []
-    for sensor in world.sensors:
-        lb = channel.link_budget(world.uav.pos, sensor.pos, cfg)
-        has_energy = sensor.battery_j >= cfg.e_tx_j
-        if cfg.success_model == "threshold":
-            eligible = has_energy and lb.snr_db >= cfg.snr_threshold_db
-        else:
-            eligible = has_energy
-        rows.append(ObsRow(
-            id=sensor.id,
-            aoi_s=sensor.aoi_s,
-            path_loss_db=lb.path_loss_db,
-            snr_db=lb.snr_db,
-            battery_j=sensor.battery_j,
-            eligible=eligible,
-            distance_m=channel.horizontal_distance(world.uav.pos, sensor.pos),
-        ))
-    return Observation(t_s=world.t_s, uav_pos=world.uav.pos, rows=tuple(rows))
+    distance, path_loss, snr = channel.link_budget(world.uav.pos, world.pos, cfg)
+    eligible = world.battery_j >= cfg.e_tx_j
+    if cfg.success_model == "threshold":
+        eligible &= snr >= cfg.snr_threshold_db
+    return Observation(t_s=world.t_s, uav_pos=world.uav.pos,
+                       aoi_s=world.aoi_s.copy(), snr_db=snr,
+                       path_loss_db=path_loss, distance_m=distance,
+                       eligible=eligible)
 
 
 def summarize(world: World, run_id: str = "run") -> RunSummary:
     log = world.log
     n = len(log)
-    n_sensors = world.cfg.n_sensors
-    per_sensor_mean = [
-        sum(rec.per_sensor_aoi[j] for rec in log) / n if n else 0.0
-        for j in range(n_sensors)
-    ]
-    per_sensor_final = list(log[-1].per_sensor_aoi) if n else [0.0] * n_sensors
+    total = np.zeros(world.cfg.n_sensors)
+    for rec in log:  # frame by frame, the order in which sum() adds
+        total += np.frombuffer(rec.per_sensor_aoi)
     return RunSummary(
         run_id=run_id,
         time_avg_aoi_s=sum(rec.avg_aoi_s for rec in log) / n if n else 0.0,
-        per_sensor_mean_aoi=per_sensor_mean,
-        per_sensor_final_aoi=per_sensor_final,
-        velocity_trace=[rec.action.velocity_mps for rec in log],
+        per_sensor_mean_aoi=(total / max(n, 1)).tolist(),
+        per_sensor_final_aoi=(log[-1].per_sensor_aoi if n else total).tolist(),
         success_count=sum(1 for rec in log if rec.success),
         n_steps=n,
     )

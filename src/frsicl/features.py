@@ -26,9 +26,8 @@ def feature_vector(obs: Observation, cfg: WorldConfig) -> np.ndarray:
     [-20, 60] dB then scaled to [0, 1]; theta is the UAV's angle on its orbit.
     """
     aoi_scale = cfg.aoi_cap_s if cfg.aoi_cap_s is not None else AOI_NORM_FALLBACK_S
-    aoi = np.array([r.aoi_s for r in obs.rows]) / aoi_scale
-    snr = np.array([r.snr_db for r in obs.rows])
-    snr = (np.clip(snr, SNR_NORM_MIN_DB, SNR_NORM_MAX_DB) - SNR_NORM_MIN_DB) \
+    aoi = obs.aoi_s / aoi_scale
+    snr = (np.clip(obs.snr_db, SNR_NORM_MIN_DB, SNR_NORM_MAX_DB) - SNR_NORM_MIN_DB) \
         / (SNR_NORM_MAX_DB - SNR_NORM_MIN_DB)
     x, y = obs.uav_pos[0], obs.uav_pos[1]
     cx, cy = cfg.orbit_center

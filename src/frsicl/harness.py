@@ -12,7 +12,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .config import ConfigError, WorldConfig
-from .env import init_world, run_episode, step as env_step
+from .env import ActionError, init_world, run_episode, step as env_step
 from .icl import IclConfig, IclPolicy
 from .policies import MaxAoiPolicy, NearestNeighborPolicy, RoundRobinPolicy
 from .ppo import PpoPolicy, load_params
@@ -93,12 +93,11 @@ def _execute_runs(spec: ExperimentSpec) -> RunArtifacts:
                 fmt(rec.action.velocity_mps), "1" if rec.success else "0",
                 fmt(rec.avg_aoi_s),
             ])
-        for j, sensor in enumerate(world.sensors):
-            artifacts.sensor_rows.append([
-                run_id, str(sensor.id), fmt(sensor.pos[0]), fmt(sensor.pos[1]),
-                fmt(summary.per_sensor_mean_aoi[j]),
-                fmt(summary.per_sensor_final_aoi[j]),
-            ])
+        for j, ((x, y), mean, final) in enumerate(zip(
+                world.pos.tolist(), summary.per_sensor_mean_aoi,
+                summary.per_sensor_final_aoi), start=1):
+            artifacts.sensor_rows.append(
+                [run_id, str(j), fmt(x), fmt(y), fmt(mean), fmt(final)])
         artifacts.summary_rows.append([
             run_id, spec.policy, str(spec.world.n_sensors), str(seed),
             fmt(summary.time_avg_aoi_s), fmt(summary.success_rate),
@@ -179,10 +178,14 @@ def replay_steps_csv(path: str, cfg: WorldConfig) -> int:
         world = init_world(cfg, seed=_seed_from_run_id(run_id))
         rows.sort(key=lambda r: int(r["step"]))
         for row in rows:
-            rec = env_step(world, Action(
-                sensor=int(row["selected_sensor"]),
-                velocity_mps=float(row["velocity_mps"])))
             k = int(row["step"])
+            try:
+                rec = env_step(world, Action(
+                    sensor=int(row["selected_sensor"]),
+                    velocity_mps=float(row["velocity_mps"])))
+            except ActionError as exc:
+                raise ReplayDivergence(
+                    f"replay divergence at step {k} of {run_id}: {exc}") from exc
             if fmt(rec.avg_aoi_s) != row["avg_aoi_s"]:
                 raise ReplayDivergence(
                     f"replay divergence at step {k} of {run_id}: "

@@ -144,7 +144,7 @@ class IclPolicy:
         self.pool.add(ExperienceRecord(
             features=self._features, action=record.action,
             outcome_avg_aoi=record.avg_aoi_s, step=record.step,
-            avg_aoi_before_s=sum(r.aoi_s for r in obs.rows) / len(obs.rows)))
+            avg_aoi_before_s=sum(obs.aoi_s.tolist()) / len(obs.aoi_s)))
         self._step_index += 1
 
     def write_exchange_log(self, path: str) -> None:

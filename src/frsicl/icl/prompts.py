@@ -73,10 +73,10 @@ def build_step_prompt(obs: Observation, examples: Sequence, cfg: WorldConfig) ->
         "UAV position: x=%.2f m, y=%.2f m, h=%.2f m" % obs.uav_pos,
         TABLE_HEADER,
     ]
-    for row in obs.rows:
+    rows = zip(obs.aoi_s.tolist(), obs.path_loss_db.tolist(), obs.eligible.tolist())
+    for j, (aoi, path_loss, eligible) in enumerate(rows, start=1):
         lines.append("%d | %.1f | %.1f | %s"
-                     % (row.id, row.aoi_s, row.path_loss_db,
-                        "yes" if row.eligible else "no"))
+                     % (j, aoi, path_loss, "yes" if eligible else "no"))
     lines.append("")
     lines.append("Past examples (oldest first):")
     for i, record in enumerate(examples, start=1):

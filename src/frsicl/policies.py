@@ -7,34 +7,35 @@ lowest sensor id so episodes replay deterministically.
 
 from __future__ import annotations
 
-from typing import Protocol, Sequence
+from typing import Protocol
+
+import numpy as np
 
 from .config import WorldConfig
 from .rng import RngStream
-from .states import Action, Observation, ObsRow
+from .states import Action, Observation
 
 
 class Policy(Protocol):
     def decide(self, obs: Observation, rng: RngStream) -> Action: ...
 
 
-def _eligible_or_all(rows: Sequence[ObsRow]) -> Sequence[ObsRow]:
-    eligible = [r for r in rows if r.eligible]
-    return eligible if eligible else rows
+def _eligible_or_all(values: np.ndarray, eligible: np.ndarray, fill: float) -> np.ndarray:
+    """`values` with ineligible entries set to `fill`, unless none is eligible.
+    argmin and argmax return the first extreme: the lowest sensor id."""
+    return np.where(eligible, values, fill) if eligible.any() else values
 
 
 def nearest_neighbor_decide(obs: Observation, v_max: float) -> Action:
     """Poll the horizontally nearest sensor (among eligible ones, if any)."""
-    rows = _eligible_or_all(obs.rows)
-    best = min(rows, key=lambda r: (r.distance_m, r.id))
-    return Action(sensor=best.id, velocity_mps=v_max)
+    distance = _eligible_or_all(obs.distance_m, obs.eligible, np.inf)
+    return Action(sensor=int(np.argmin(distance)) + 1, velocity_mps=v_max)
 
 
 def max_aoi_decide(obs: Observation, v_max: float) -> Action:
     """Poll the stalest sensor (among eligible ones, if any)."""
-    rows = _eligible_or_all(obs.rows)
-    best = max(rows, key=lambda r: (r.aoi_s, -r.id))
-    return Action(sensor=best.id, velocity_mps=v_max)
+    aoi = _eligible_or_all(obs.aoi_s, obs.eligible, -np.inf)
+    return Action(sensor=int(np.argmax(aoi)) + 1, velocity_mps=v_max)
 
 
 class NearestNeighborPolicy:

@@ -35,6 +35,3 @@ class RngStream:
 
     def random(self) -> float:
         return float(self.gen.random())
-
-    def integers(self, low: int, high: int) -> int:
-        return int(self.gen.integers(low, high))

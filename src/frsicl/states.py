@@ -1,20 +1,12 @@
-"""Shared domain records: sensors, UAV, actions, observations, step logs."""
+"""Shared domain records: UAV, actions, observations, step logs."""
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import List, Tuple
 
-
-@dataclass
-class SensorState:
-    """One ground sensor: position, current AoI and battery."""
-
-    id: int  # 1-based
-    pos: Tuple[float, float]
-    aoi_s: float = 0.0
-    last_gen_s: float = 0.0
-    battery_j: float = 0.0
+import numpy as np
 
 
 @dataclass
@@ -23,7 +15,6 @@ class UavState:
 
     pos: Tuple[float, float, float]
     arc_s: float = 0.0
-    velocity_mps: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -34,24 +25,17 @@ class Action:
     velocity_mps: float
 
 
-@dataclass(frozen=True)
-class ObsRow:
-    """Per-sensor view at observation time (pre-move UAV position)."""
-
-    id: int
-    aoi_s: float
-    path_loss_db: float
-    snr_db: float
-    battery_j: float
-    eligible: bool
-    distance_m: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Observation:
+    """Frame-start view; entry j of each array is sensor j + 1."""
+
     t_s: float
     uav_pos: Tuple[float, float, float]
-    rows: Tuple[ObsRow, ...]
+    aoi_s: np.ndarray
+    snr_db: np.ndarray
+    path_loss_db: np.ndarray
+    distance_m: np.ndarray
+    eligible: np.ndarray  # bool
 
 
 @dataclass(frozen=True)
@@ -60,7 +44,7 @@ class StepRecord:
     action: Action
     success: bool
     avg_aoi_s: float
-    per_sensor_aoi: Tuple[float, ...]
+    per_sensor_aoi: array  # typecode "d": sensor j + 1 at index j
 
 
 @dataclass
@@ -71,7 +55,6 @@ class RunSummary:
     time_avg_aoi_s: float
     per_sensor_mean_aoi: List[float]
     per_sensor_final_aoi: List[float]
-    velocity_trace: List[float]
     success_count: int
     n_steps: int
     wall_ms: float = 0.0

@@ -1,12 +1,17 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frsicl.channel import (elevation_angle, los_probability, path_loss_db,
-                            slant_distance, snr_db, success_probability)
+from frsicl.channel import (elevation_angle, link_budget, los_probability,
+                            path_loss_db, slant_distance, snr_db,
+                            success_probability)
 from frsicl.config import WorldConfig
+from frsicl.env import init_world, observe
+
+from oracles import oracle_path_loss_db
 
 CFG = WorldConfig()
 
@@ -137,3 +142,48 @@ class TestSuccessProbability:
         for model in ("threshold", "logistic"):
             cfg = CFG.replace(success_model=model)
             assert success_probability(snr + delta, cfg) >= success_probability(snr, cfg)
+
+
+class TestLinkBudgetArrays:
+    """The array path against the scalar oracle, one sensor at a time."""
+
+    CFG = WorldConfig(area_size_m=400.0)
+    coord = st.floats(min_value=0.0, max_value=400.0)
+
+    @given(sensors=st.lists(st.tuples(coord, coord), min_size=1, max_size=120),
+           uav_xy=st.tuples(coord, coord),
+           h=st.floats(min_value=0.1, max_value=100.0))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scalar_oracle(self, sensors, uav_xy, h):
+        cfg = self.CFG.replace(n_sensors=len(sensors), altitude_m=h)
+        world = init_world(cfg, seed=0)
+        world.pos[:] = sensors
+        world.uav.pos = (*uav_xy, h)
+        obs = observe(world)
+        distance, path_loss, snr = link_budget(world.uav.pos, world.pos, cfg)
+        assert distance.shape == path_loss.shape == snr.shape == (len(sensors),)
+        assert np.array_equal(snr, obs.snr_db)
+        for j, (x, y) in enumerate(sensors):
+            d = math.hypot(uav_xy[0] - x, uav_xy[1] - y)
+            expected = cfg.ptx_dbm - oracle_path_loss_db(
+                d, h, cfg.env_a, cfg.env_b, cfg.eta_los_db, cfg.eta_nlos_db,
+                cfg.carrier_hz, cfg.light_speed_mps) - cfg.noise_dbm
+            assert abs(distance[j] - d) <= 1e-12 * max(d, 1.0)
+            assert abs(snr[j] - expected) < 1e-12
+            if abs(expected - cfg.snr_threshold_db) > 1e-9:
+                assert obs.eligible[j] == (expected >= cfg.snr_threshold_db)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overhead_and_overflow_raise_no_warning(self):
+        # h / 0 straight overhead; exp overflow in a steep LoS sigmoid and
+        # in the logistic success model far below the threshold
+        cfg = CFG.replace(env_b=1000.0, success_model="logistic")
+        _, _, snr = link_budget(uav(h=10), [(0.0, 0.0), (500.0, 0.0)], cfg)
+        assert elevation_angle(uav(h=10), [(0.0, 0.0)]).tolist() == [90.0]
+        assert success_probability(snr - 2000.0, cfg).tolist() == [0.0, 0.0]
+
+    def test_one_pair_gives_scalars(self):
+        distance, path_loss, snr = link_budget(uav(h=10), (30.0, 0.0), CFG)
+        assert np.ndim(distance) == np.ndim(path_loss) == np.ndim(snr) == 0
+        assert path_loss == pytest.approx(GAMMA_D30_H10, rel=1e-9)
+        assert snr == pytest.approx(SNR_D30_H10, rel=1e-9)

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frsicl.cli import EXIT_VALIDATION, cli_main
-from frsicl.config import (ConfigError, WorldConfig, config_from_dict,
-                           config_to_dict, load_world_config,
-                           save_world_config, validate_config)
+from frsicl.config import (MAX_LOGGED_AOI, MAX_SENSORS, MAX_STEPS, ConfigError,
+                           WorldConfig, config_from_dict, config_to_dict,
+                           load_world_config, save_world_config, validate_config)
 from frsicl.env import init_world, run_episode
 from frsicl.policies import RoundRobinPolicy
 from frsicl.rng import RngStream
@@ -122,12 +122,42 @@ def test_steep_los_sigmoid_runs():
     assert all(math.isfinite(rec.avg_aoi_s) for rec in world.log)
 
 
+@pytest.mark.parametrize("data,match", [
+    ({"dt_s": 1e306}, "orbit angle"),
+    ({"v_max_mps": 1e308, "dt_s": 1e10}, "orbit angle"),
+    ({"dt_s": 1e306, "v_max_mps": 1e-300, "aoi_cap_s": None}, "AoI sums"),
+    ({"orbit_radius_m": 1e-313}, "orbit angle"),
+    ({"n_sensors": 10 ** 400}, "n_sensors must be at most"),
+    ({"n_sensors": MAX_SENSORS + 1}, "n_sensors must be at most"),
+    ({"n_steps": MAX_STEPS + 1}, "n_steps must be at most"),
+    ({"n_sensors": MAX_SENSORS, "n_steps": MAX_LOGGED_AOI // MAX_SENSORS + 1},
+     "n_sensors \\* n_steps"),
+])
+def test_run_size_and_horizon_bounded(tmp_path, capsys, data, match):
+    with pytest.raises(ConfigError, match=match):
+        config_from_dict(data)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    code = cli_main(["run", "--policy", "maxaoi", "--config", str(path),
+                     "--out-dir", str(tmp_path / "out")])
+    assert code == EXIT_VALIDATION
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_bounds_admit_the_benchmark_worlds_and_capped_aoi():
+    for data in ({"n_sensors": 100, "n_steps": 600, "area_size_m": 400.0},
+                 {"n_sensors": MAX_SENSORS, "n_steps": MAX_LOGGED_AOI // MAX_SENSORS},
+                 # the cap keeps every AoI sum finite however long a frame is
+                 {"dt_s": 1e306, "v_max_mps": 1e-300}):
+        config_from_dict(data)
+
+
 def _config_value(name):
     """A value for one config key: usually well typed, sometimes not.
 
     Finite floats span +-1e9, every physical scale the model is used at;
     integer counts stay small because an episode's cost grows with them
-    (no upper bound is validated).
+    (the validated caps are far larger).
     """
     junk = [None, "30", True, [], float("nan"), float("inf"), -float("inf"), 2.5]
     if name in ("n_sensors", "n_steps"):
@@ -153,6 +183,7 @@ CONFIG_DICTS = st.lists(
     {key: _config_value(key) for key in keys}))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=400, deadline=None)
 @given(CONFIG_DICTS)
 def test_fuzzed_config_rejected_or_runs_finite(data):
@@ -163,6 +194,6 @@ def test_fuzzed_config_rejected_or_runs_finite(data):
     world = init_world(cfg)
     run_episode(world, RoundRobinPolicy(cfg))
     state = [world.t_s, world.uav.arc_s, *world.uav.pos]
-    state += [x for s in world.sensors for x in (*s.pos, s.aoi_s, s.battery_j)]
+    state += world.pos.ravel().tolist() + world.aoi_s.tolist() + world.battery_j.tolist()
     state += [rec.avg_aoi_s for rec in world.log]
     assert all(math.isfinite(x) for x in state)

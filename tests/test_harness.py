@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -164,6 +165,58 @@ class TestReplay:
             replay_steps_csv(str(path), CFG)
 
 
+class TestReplayActionCheck:
+    """A logged action the world cannot take is a divergence, not a wrap
+    to another sensor or a traceback."""
+
+    def replay_with(self, tmp_path, column, value):
+        run_experiment(spec_for(tmp_path, seeds=(0,)))
+        path = tmp_path / "out" / "steps.csv"
+        rows = read_csv(path)
+        rows[4][rows[0].index(column)] = value
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        return path
+
+    def test_sensor_zero_detected(self, tmp_path):
+        path = self.replay_with(tmp_path, "selected_sensor", "0")
+        with pytest.raises(ReplayDivergence, match="step 3 of maxaoi-s0: sensor"):
+            replay_steps_csv(str(path), CFG)
+
+    def test_sensor_past_n_detected(self, tmp_path):
+        path = self.replay_with(tmp_path, "selected_sensor", "99")
+        with pytest.raises(ReplayDivergence, match="step 3 of maxaoi-s0: sensor"):
+            replay_steps_csv(str(path), CFG)
+
+    def test_nan_velocity_detected(self, tmp_path, capsys):
+        path = self.replay_with(tmp_path, "velocity_mps", "nan")
+        with pytest.raises(ReplayDivergence, match="step 3 of maxaoi-s0: velocity"):
+            replay_steps_csv(str(path), CFG)
+        assert cli_main(["replay", "--steps-csv", str(path)]) == EXIT_VALIDATION
+        assert "finite" in capsys.readouterr().err
+
+
+# SHA-256 of steps.csv and sensors.csv before the world became arrays:
+# N=100, T=300, 400 m field, seeds 0-2.
+PINNED_DIGESTS = {
+    "maxaoi": ("749145eee2f192aaea2c57b4430fbe1c11851766a3c8a317fb49398209424d5b",
+               "9354ed6f7a42cffa5f33dfaa0084afda9bd28b324c38aff0c28bc027517ac481"),
+    "nearest": ("e3f88fe0a7ff3be51cdcae451022f598c84ea0911edf1094b17779eb9543f150",
+                "6cef3872af6fd1ce3cda185fb02cfc1d7eed7599b0ef91255ac247c6313d62d9"),
+    "roundrobin": ("12affaeb1c8b911158c87df92d2f4d93a6558bd4284a47c054b1322a81e9ecc8",
+                   "f636d0b1fbef2dd29edabffd526f814bcf840dfc9946bc8f3bfd64497d706881"),
+}
+
+
+@pytest.mark.parametrize("policy", sorted(PINNED_DIGESTS))
+def test_n100_outputs_match_pinned_digests(tmp_path, policy):
+    cfg = WorldConfig(area_size_m=400.0, n_sensors=100, n_steps=300)
+    run_experiment(spec_for(tmp_path, policy=policy, cfg=cfg))
+    digests = tuple(hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+                    for name in ("steps.csv", "sensors.csv"))
+    assert digests == PINNED_DIGESTS[policy]
+
+
 class TestCli:
     def test_run_maxaoi_ok(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -224,6 +277,13 @@ class TestCli:
                          "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_VALIDATION
         assert "parameters file" in capsys.readouterr().err
+
+    def test_empty_seed_list_exits_1(self, tmp_path, capsys):
+        code = cli_main(["run", "--policy", "maxaoi", "--seed", ",,",
+                         "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_VALIDATION
+        assert "--seed expects" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_flag_exits_1(self, capsys):
         assert cli_main(["run", "--policy", "maxaoi", "--frobnicate"]) == \

@@ -20,7 +20,7 @@ from frsicl.icl.backends import _parse_step_prompt
 from frsicl.icl.parsing import (MISSING_FIELD, NO_OBJECT, NON_FINITE,
                                 NON_NUMERIC, SENSOR_OUT_OF_RANGE)
 from frsicl.policies import max_aoi_decide, nearest_neighbor_decide
-from frsicl.states import Action, Observation, ObsRow
+from frsicl.states import Action, Observation
 
 from oracles import brute_force_top_k
 
@@ -29,15 +29,14 @@ CFG = WorldConfig()
 
 def make_obs(aois, path_losses=None, eligible=None, t_s=0.0):
     n = len(aois)
-    path_losses = path_losses or [80.0 + i for i in range(n)]
+    path_losses = np.array(path_losses or [80.0 + i for i in range(n)],
+                           dtype=np.float64)
     eligible = eligible if eligible is not None else [True] * n
-    rows = tuple(
-        ObsRow(id=i + 1, aoi_s=float(aois[i]), path_loss_db=float(path_losses[i]),
-               snr_db=20.0 - path_losses[i] - (-90.0),
-               battery_j=50.0, eligible=eligible[i],
-               distance_m=float(path_losses[i]))
-        for i in range(n))
-    return Observation(t_s=t_s, uav_pos=(85.0, 50.0, 10.0), rows=rows)
+    return Observation(t_s=t_s, uav_pos=(85.0, 50.0, 10.0),
+                       aoi_s=np.array(aois, dtype=np.float64),
+                       snr_db=20.0 - path_losses - (-90.0),
+                       path_loss_db=path_losses, distance_m=path_losses.copy(),
+                       eligible=np.array(eligible, dtype=bool))
 
 
 def make_record(features, sensor=1, velocity=7.5, outcome=3.0, step=0,

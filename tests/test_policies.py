@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,7 +7,7 @@ from frsicl.config import WorldConfig
 from frsicl.policies import (MaxAoiPolicy, NearestNeighborPolicy,
                              RoundRobinPolicy, max_aoi_decide,
                              nearest_neighbor_decide)
-from frsicl.states import Observation, ObsRow
+from frsicl.states import Observation
 
 CFG = WorldConfig()
 
@@ -16,12 +17,11 @@ def make_obs(distances=None, aois=None, eligible=None):
     distances = distances or [10.0] * n
     aois = aois or [0.0] * n
     eligible = eligible if eligible is not None else [True] * n
-    rows = tuple(
-        ObsRow(id=i + 1, aoi_s=aois[i], path_loss_db=80.0, snr_db=30.0,
-               battery_j=50.0, eligible=eligible[i],
-               distance_m=distances[i])
-        for i in range(n))
-    return Observation(t_s=0.0, uav_pos=(85.0, 50.0, 10.0), rows=rows)
+    return Observation(t_s=0.0, uav_pos=(85.0, 50.0, 10.0),
+                       aoi_s=np.array(aois, dtype=np.float64),
+                       snr_db=np.full(n, 30.0), path_loss_db=np.full(n, 80.0),
+                       distance_m=np.array(distances, dtype=np.float64),
+                       eligible=np.array(eligible, dtype=bool))
 
 
 class TestNearestNeighbor:
