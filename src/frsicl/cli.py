@@ -45,6 +45,17 @@ def _config_from_args(args) -> WorldConfig:
     return load_world_config(args.config) if args.config else WorldConfig()
 
 
+def _replay_config(args):
+    """The --config file, else the world.json written beside the steps CSV,
+    else the defaults; returns the config and where it came from."""
+    if args.config:
+        return load_world_config(args.config), args.config
+    beside = os.path.join(os.path.dirname(args.steps_csv), "world.json")
+    if os.path.exists(beside):
+        return load_world_config(beside), beside
+    return WorldConfig(), "the default config"
+
+
 def _icl_from_args(args, policy: str) -> IclConfig:
     if args.mock_llm:
         backend = f"mock:{args.mock_llm}"
@@ -173,9 +184,9 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
             return EXIT_OK
 
         if args.command == "replay":
-            cfg = _config_from_args(args)
+            cfg, source = _replay_config(args)
             n_runs = replay_steps_csv(args.steps_csv, cfg)
-            print(f"replay ok: {n_runs} run(s) verified")
+            print(f"replay ok: {n_runs} run(s) verified with {source}")
             return EXIT_OK
 
         parser.error(f"unknown command {args.command!r}")

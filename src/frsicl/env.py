@@ -185,8 +185,8 @@ def summarize(world: World, run_id: str = "run") -> RunSummary:
 def run_episode(world: World, policy, run_id: str = "run") -> RunSummary:
     """observe -> decide -> step for the full horizon.
 
-    Policies may expose two optional hooks: feedback(observation, record)
-    after each frame, and notify(summary) at episode end.
+    A policy may expose an optional feedback(observation, record) hook,
+    called after each frame.
     """
     feedback = getattr(policy, "feedback", None)
     for _ in range(world.cfg.n_steps):
@@ -195,8 +195,4 @@ def run_episode(world: World, policy, run_id: str = "run") -> RunSummary:
         record = step(world, action)
         if feedback is not None:
             feedback(obs, record)
-    summary = summarize(world, run_id)
-    notify = getattr(policy, "notify", None)
-    if notify is not None:
-        notify(summary)
-    return summary
+    return summarize(world, run_id)

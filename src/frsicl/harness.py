@@ -11,7 +11,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import ConfigError, WorldConfig
+from .config import ConfigError, WorldConfig, save_world_config
 from .env import ActionError, init_world, run_episode, step as env_step
 from .icl import IclConfig, IclPolicy
 from .policies import MaxAoiPolicy, NearestNeighborPolicy, RoundRobinPolicy
@@ -122,7 +122,8 @@ def _write_csv(path: str, header: str, rows: Sequence[Sequence[str]]) -> None:
 
 
 def run_experiment(spec: ExperimentSpec) -> List[RunSummary]:
-    """One episode per replicate seed; writes steps/sensors/summary CSVs."""
+    """One episode per replicate seed; writes steps/sensors/summary CSVs and
+    the world config (world.json) that replay reads back."""
     artifacts = _execute_runs(spec)
     _write_csv(os.path.join(spec.out_dir, "steps.csv"),
                STEPS_HEADER, artifacts.step_rows)
@@ -130,6 +131,7 @@ def run_experiment(spec: ExperimentSpec) -> List[RunSummary]:
                SENSORS_HEADER, artifacts.sensor_rows)
     _write_csv(os.path.join(spec.out_dir, "summary.csv"),
                SUMMARY_HEADER, artifacts.summary_rows)
+    save_world_config(spec.world, os.path.join(spec.out_dir, "world.json"))
     return artifacts.summaries
 
 

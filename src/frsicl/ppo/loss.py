@@ -8,7 +8,6 @@ finite differences in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 import numpy as np
 
@@ -41,7 +40,7 @@ def ppo_loss(params: MlpParams, batch: Minibatch, clip_eps: float,
 def ppo_loss_and_grads(params: MlpParams, batch: Minibatch, clip_eps: float,
                        value_coef: float, entropy_coef: float,
                        want_grads: bool = True):
-    """Return (loss, grads) with grads keyed by parameter name.
+    """Return (loss, grad), grad one flat vector laid out like params.flat.
 
     loss = -mean(min(rho A, clip(rho, 1-eps, 1+eps) A))
            + value_coef * mean((V - returns)^2)
@@ -94,24 +93,25 @@ def ppo_loss_and_grads(params: MlpParams, batch: Minibatch, clip_eps: float,
     dlv += (entropy_coef / B) * p_v * (lp_v + H_v[:, None])
     dvalue = 2.0 * value_coef * value_err / B
 
-    grads: Dict[str, np.ndarray] = {}
-    grads["Ws"] = h2.T @ dls
-    grads["bs"] = dls.sum(axis=0)
-    grads["Wv"] = h2.T @ dlv
-    grads["bv"] = dlv.sum(axis=0)
-    grads["Wc"] = h2.T @ dvalue[:, None]
-    grads["bc"] = np.array([dvalue.sum()])
+    grad = np.empty_like(params.flat)
+    g = params.views(grad)
+    g["Ws"][...] = h2.T @ dls
+    g["bs"][...] = dls.sum(axis=0)
+    g["Wv"][...] = h2.T @ dlv
+    g["bv"][...] = dlv.sum(axis=0)
+    g["Wc"][...] = h2.T @ dvalue[:, None]
+    g["bc"][...] = dvalue.sum()
 
     dh2 = dls @ params.Ws.T + dlv @ params.Wv.T + np.outer(dvalue, params.Wc.ravel())
     dz2 = dh2 * (1.0 - h2 ** 2)
-    grads["W2"] = h1.T @ dz2
-    grads["b2"] = dz2.sum(axis=0)
+    g["W2"][...] = h1.T @ dz2
+    g["b2"][...] = dz2.sum(axis=0)
     dh1 = dz2 @ params.W2.T
     dz1 = dh1 * (1.0 - h1 ** 2)
-    grads["W1"] = X.T @ dz1
-    grads["b1"] = dz1.sum(axis=0)
+    g["W1"][...] = X.T @ dz1
+    g["b1"][...] = dz1.sum(axis=0)
 
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient in {name}")
-    return loss, grads
+    if not np.isfinite(grad).all():
+        name = next(n for n, a in g.items() if not np.isfinite(a).all())
+        raise FloatingPointError(f"non-finite gradient in {name}")
+    return loss, grad

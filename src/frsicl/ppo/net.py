@@ -3,6 +3,7 @@ value), hand-rolled forward pass over plain numpy arrays."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -11,65 +12,55 @@ import numpy as np
 N_VELOCITY_BINS = 5
 VELOCITY_FRACTIONS = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
 
-# Flat serialization order for parameters (row-major within each array).
+# Flat layout order for parameters (row-major within each array).
 PARAM_ORDER = ("W1", "b1", "W2", "b2", "Ws", "bs", "Wv", "bv", "Wc", "bc")
+
+
+def param_shapes(n_sensors: int, input_dim: int,
+                 hidden: Tuple[int, int]) -> Dict[str, Tuple[int, ...]]:
+    """Shape of each named parameter array, in PARAM_ORDER."""
+    h1, h2 = hidden
+    return {"W1": (input_dim, h1), "b1": (h1,), "W2": (h1, h2), "b2": (h2,),
+            "Ws": (h2, n_sensors), "bs": (n_sensors,),
+            "Wv": (h2, N_VELOCITY_BINS), "bv": (N_VELOCITY_BINS,),
+            "Wc": (h2, 1), "bc": (1,)}
+
+
+def param_count(n_sensors: int, input_dim: int, hidden: Tuple[int, int]) -> int:
+    return sum(math.prod(s) for s in param_shapes(n_sensors, input_dim, hidden).values())
 
 
 @dataclass
 class MlpParams:
+    """Every parameter in one C-contiguous float64 vector, `flat`, laid out
+    in PARAM_ORDER. W1, b1, W2, b2 (trunk), Ws, bs (sensor head), Wv, bv
+    (velocity head) and Wc, bc (value head) are reshaped views of it."""
     n_sensors: int
     input_dim: int
     hidden: Tuple[int, int]
-    W1: np.ndarray
-    b1: np.ndarray
-    W2: np.ndarray
-    b2: np.ndarray
-    Ws: np.ndarray  # sensor head
-    bs: np.ndarray
-    Wv: np.ndarray  # velocity head
-    bv: np.ndarray
-    Wc: np.ndarray  # value head
-    bc: np.ndarray
+    flat: np.ndarray
 
-    def arrays(self) -> Dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in PARAM_ORDER}
+    def __post_init__(self):
+        self.__dict__.update(self.views(self.flat))
 
-    def to_flat(self) -> np.ndarray:
-        return np.concatenate([getattr(self, n).ravel() for n in PARAM_ORDER])
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        offset = 0
-        for name in PARAM_ORDER:
-            arr = getattr(self, name)
-            arr[...] = flat[offset:offset + arr.size].reshape(arr.shape)
-            offset += arr.size
-
-    def n_params(self) -> int:
-        return sum(getattr(self, n).size for n in PARAM_ORDER)
+    def views(self, buf: np.ndarray) -> Dict[str, np.ndarray]:
+        """Name the slices of any vector laid out like `flat`."""
+        named, end = {}, 0
+        for name, shape in param_shapes(self.n_sensors, self.input_dim,
+                                        self.hidden).items():
+            start, end = end, end + math.prod(shape)
+            named[name] = buf[start:end].reshape(shape)
+        return named
 
 
 def init_params(n_sensors: int, input_dim: int, hidden: Tuple[int, int],
                 rng: np.random.Generator) -> MlpParams:
-    """Xavier-scaled gaussian init suited to tanh activations."""
-    h1, h2 = hidden
-
-    def xavier(n_in, n_out):
-        return rng.normal(0.0, np.sqrt(2.0 / (n_in + n_out)), size=(n_in, n_out))
-
-    return MlpParams(
-        n_sensors=n_sensors,
-        input_dim=input_dim,
-        hidden=(h1, h2),
-        W1=xavier(input_dim, h1), b1=np.zeros(h1),
-        W2=xavier(h1, h2), b2=np.zeros(h2),
-        Ws=xavier(h2, n_sensors), bs=np.zeros(n_sensors),
-        Wv=xavier(h2, N_VELOCITY_BINS), bv=np.zeros(N_VELOCITY_BINS),
-        Wc=xavier(h2, 1), bc=np.zeros(1),
-    )
-
-
-def zeros_like_params(params: MlpParams) -> Dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in params.arrays().items()}
+    """Xavier-scaled gaussian weights suited to tanh activations, zero biases."""
+    params = MlpParams(n_sensors, input_dim, tuple(hidden),
+                       np.zeros(param_count(n_sensors, input_dim, hidden)))
+    for W in (params.W1, params.W2, params.Ws, params.Wv, params.Wc):
+        W[...] = rng.normal(0.0, np.sqrt(2.0 / sum(W.shape)), size=W.shape)
+    return params
 
 
 def forward(params: MlpParams, features: np.ndarray):
@@ -84,8 +75,7 @@ def forward(params: MlpParams, features: np.ndarray):
     ls = h2 @ params.Ws + params.bs
     lv = h2 @ params.Wv + params.bv
     value = (h2 @ params.Wc + params.bc).ravel()
-    cache = (X, h1, h2)
-    return ls, lv, value, cache
+    return ls, lv, value, (X, h1, h2)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ from ..rng import RngStream
 from ..states import Action, RunSummary
 from .adam import AdamState, adam_update
 from .gae import gae_advantages, normalize_advantages
+from .io import ParamsFileError
 from .loss import Minibatch, ppo_loss_and_grads
 from .net import (MlpParams, forward, init_params, sample_action,
                   velocity_from_bin)
@@ -40,6 +41,11 @@ class PpoPolicy:
     """Frozen (or training-time) policy over the trained network."""
 
     def __init__(self, params: MlpParams, cfg: WorldConfig, greedy: bool = True):
+        world = (cfg.n_sensors, feature_dim(cfg.n_sensors))
+        if (params.n_sensors, params.input_dim) != world:
+            raise ParamsFileError(
+                f"parameters for (n_sensors, input_dim) = ({params.n_sensors}, "
+                f"{params.input_dim}) do not fit the world's {world}")
         self.params = params
         self.cfg = cfg
         self.greedy = greedy
@@ -130,13 +136,13 @@ def train(cfg: WorldConfig, ppo_cfg: PpoConfig, seed: int,
                     advantages=adv[sel],
                     returns=rets[sel],
                 )
-                loss, grads = ppo_loss_and_grads(
+                loss, grad = ppo_loss_and_grads(
                     params, batch, ppo_cfg.clip_eps,
                     ppo_cfg.value_coef, ppo_cfg.entropy_coef)
                 if not np.isfinite(loss):
                     raise FloatingPointError(
                         f"non-finite loss at episode {episode}")
-                adam_update(params, grads, adam_state, ppo_cfg.learning_rate)
+                adam_update(params, grad, adam_state, ppo_cfg.learning_rate)
         curve.append((episode, float(rewards.mean()), float(-rewards.mean())))
 
     if curve_path is not None:

@@ -83,21 +83,34 @@ def enumerate_action_sequences(n_sensors: int, n_steps: int, v_max: float):
 # --- finite differences --------------------------------------------------
 
 def central_difference_grad(loss_fn, params, h: float = 1e-5) -> np.ndarray:
-    """Central finite differences of loss_fn over the flat parameter vector."""
-    flat = params.to_flat()
-    grad = np.zeros_like(flat)
-    for i in range(len(flat)):
-        up = flat.copy()
-        up[i] += h
-        params.set_flat(up)
+    """Central finite differences of loss_fn over params.flat, perturbing
+    one entry in place at a time."""
+    flat = params.flat
+    base = flat.copy()
+    grad = np.zeros_like(base)
+    for i in range(len(base)):
+        flat[i] = base[i] + h
         lp = loss_fn(params)
-        down = flat.copy()
-        down[i] -= h
-        params.set_flat(down)
+        flat[i] = base[i] - h
         lm = loss_fn(params)
+        flat[i] = base[i]
         grad[i] = (lp - lm) / (2 * h)
-    params.set_flat(flat)
     return grad
+
+
+# --- per-array Adam ---------------------------------------------------------
+
+def per_array_adam(arrays, grads, m, v, t: int, lr: float,
+                   beta1: float = 0.9, beta2: float = 0.999,
+                   eps: float = 1e-8) -> None:
+    """Bias-corrected Adam step t, one named array at a time, updating the
+    dicts `arrays`, `m` and `v` in place."""
+    for name, g in grads.items():
+        m[name] = beta1 * m[name] + (1.0 - beta1) * g
+        v[name] = beta2 * v[name] + (1.0 - beta2) * g * g
+        m_hat = m[name] / (1.0 - beta1 ** t)
+        v_hat = v[name] / (1.0 - beta2 ** t)
+        arrays[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 # --- retrieval sort oracle ------------------------------------------------

@@ -122,10 +122,7 @@ def test_4_ppo_gradient_check():
                 continue
             batch = Minibatch(feats, a_s, a_v, old,
                               rng.normal(size=B), rng.normal(size=B))
-            _, grads = ppo_loss_and_grads(params, batch, 0.2, 0.5, 0.01)
-            analytic = np.concatenate(
-                [grads[n].ravel() for n in ("W1", "b1", "W2", "b2", "Ws",
-                                            "bs", "Wv", "bv", "Wc", "bc")])
+            _, analytic = ppo_loss_and_grads(params, batch, 0.2, 0.5, 0.01)
             numeric = central_difference_grad(
                 lambda p: ppo_loss(p, batch, 0.2, 0.5, 0.01), params)
             rel = np.linalg.norm(analytic - numeric) / max(

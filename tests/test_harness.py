@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from frsicl.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, cli_main
 from frsicl.config import ConfigError, WorldConfig, load_world_config
 from frsicl.harness import (ExperimentSpec, ReplayDivergence, fmt,
                             replay_steps_csv, run_experiment, sweep_sensors)
+from frsicl.ppo import init_params, save_params
 
 CFG = WorldConfig()
 
@@ -298,6 +300,29 @@ class TestCli:
                          "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_IO
 
+    def test_sweep_output_replays_with_its_world_json(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli_main(["sweep", "--policies", "maxaoi", "--counts", "5",
+                         "--out-dir", str(out)]) == EXIT_OK
+        run_dir = out / "n5-maxaoi"
+        assert load_world_config(str(run_dir / "world.json")) == \
+            CFG.replace(n_sensors=5)
+        capsys.readouterr()
+        assert cli_main(["replay", "--steps-csv",
+                         str(run_dir / "steps.csv")]) == EXIT_OK
+        assert "world.json" in capsys.readouterr().out
+
+    def test_replay_config_flag_overrides_world_json(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cli_main(["sweep", "--policies", "maxaoi", "--counts", "5",
+                  "--out-dir", str(out)])
+        defaults = tmp_path / "defaults.json"
+        defaults.write_text("{}")
+        assert cli_main(["replay", "--steps-csv",
+                         str(out / "n5-maxaoi" / "steps.csv"),
+                         "--config", str(defaults)]) == EXIT_VALIDATION
+        assert "replay divergence" in capsys.readouterr().err
+
     def test_sweep_ok(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = cli_main(["sweep", "--policies", "maxaoi,nearest",
@@ -305,3 +330,53 @@ class TestCli:
                          "--out-dir", str(out)])
         assert code == EXIT_OK
         assert len(read_csv(out / "sweep.csv")) == 5
+
+
+def _params_file(tmp_path, header, payload):
+    path = tmp_path / "params.bin"
+    path.write_bytes(b"FRSPPO1" + header + payload)
+    return str(path)
+
+
+def _saved_params(tmp_path, n_sensors, input_dim, bad=None):
+    params = init_params(n_sensors, input_dim, (8, 8), np.random.default_rng(0))
+    if bad is not None:
+        params.flat[...] = bad
+    path = str(tmp_path / "params.bin")
+    save_params(params, path)
+    return path
+
+
+PARAMS_CASES = {
+    "short-header": (lambda tmp: _params_file(tmp, b"\x01", b""),
+                     "header has 1 of 16 bytes"),
+    # a payload of the 152 parameters a zero-width first layer declares
+    "zero-size": (lambda tmp: _params_file(tmp, struct.pack("<4I", 10, 24, 0, 8),
+                                           b"\x00" * (8 * 152)), "zero size in header"),
+    "huge-header": (lambda tmp: _params_file(
+        tmp, struct.pack("<4I", 10, 24, 100000, 100000), b"\x00" * 64),
+        "declares"),
+    "all-nan": (lambda tmp: _saved_params(tmp, 10, 24, bad=np.nan),
+                "non-finite parameter value"),
+    "wrong-sensor-count": (lambda tmp: _saved_params(tmp, 12, 24),
+                           "(12, 24) do not fit the world's (10, 24)"),
+}
+
+
+class TestPpoParamsFileCli:
+    """A malformed or mismatched parameters file is a validation error
+    (exit 1) with a message, for both commands that read one."""
+
+    @pytest.mark.parametrize("case", list(PARAMS_CASES))
+    @pytest.mark.parametrize("command", ["eval-ppo", "run"])
+    def test_rejected_with_exit_1(self, tmp_path, capsys, case, command):
+        make, match = PARAMS_CASES[case]
+        path = make(tmp_path)
+        if command == "eval-ppo":
+            argv = ["eval-ppo", "--params", path]
+        else:
+            argv = ["run", "--policy", "ppo", "--ppo-params", path,
+                    "--out-dir", str(tmp_path / "out")]
+        assert cli_main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert match in err and "Traceback" not in err

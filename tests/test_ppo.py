@@ -1,4 +1,6 @@
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,16 +12,18 @@ from frsicl.ppo import (AdamState, Minibatch, PpoConfig, adam_update,
                         load_params, log_softmax, normalize_advantages,
                         ppo_loss_and_grads, sample_action, save_params,
                         train, velocity_from_bin)
+from frsicl.ppo.io import MAGIC, ParamsFileError
 from frsicl.ppo.loss import ppo_loss
+from frsicl.ppo.net import PARAM_ORDER
 
-from oracles import central_difference_grad
+from oracles import central_difference_grad, per_array_adam
 
 RNG = np.random.default_rng(1234)
 
 
 def zero_params(n_sensors=3, input_dim=4, hidden=(6, 5)):
     params = init_params(n_sensors, input_dim, hidden, np.random.default_rng(0))
-    params.set_flat(np.zeros(params.n_params()))
+    params.flat[...] = 0.0
     return params
 
 
@@ -39,6 +43,51 @@ def random_batch(params, B=6, rng=RNG, rho_margin=0.05):
         if np.all(np.abs(rho - 0.8) > rho_margin) and np.all(np.abs(rho - 1.2) > rho_margin):
             break
     return Minibatch(feats, a_s, a_v, old, rng.normal(size=B), rng.normal(size=B))
+
+
+class TestLayout:
+    def test_named_arrays_are_views_of_flat(self):
+        params = init_params(3, 4, (6, 5), np.random.default_rng(0))
+        params.flat[0] = 7.5
+        assert params.W1[0, 0] == 7.5
+        params.W1[0, 1] = -2.25
+        assert params.flat[1] == -2.25
+        params.bc[0] = 4.0
+        assert params.flat[-1] == 4.0
+        assert params.flat.flags.c_contiguous and params.flat.dtype == np.float64
+
+    def test_arrays_tile_flat_in_param_order(self):
+        params = init_params(3, 4, (6, 5), np.random.default_rng(0))
+        params.flat[...] = np.arange(params.flat.size)
+        shapes = {"W1": (4, 6), "b1": (6,), "W2": (6, 5), "b2": (5,),
+                  "Ws": (5, 3), "bs": (3,), "Wv": (5, 5), "bv": (5,),
+                  "Wc": (5, 1), "bc": (1,)}
+        assert [getattr(params, n).shape for n in PARAM_ORDER] == \
+            [shapes[n] for n in PARAM_ORDER]
+        tiled = np.concatenate([getattr(params, n).ravel() for n in PARAM_ORDER])
+        assert np.array_equal(tiled, np.arange(params.flat.size))
+
+    def test_views_slice_the_same_ranges_as_the_parameters(self):
+        params = init_params(4, 10, (8, 6), np.random.default_rng(0))
+        params.flat[...] = np.arange(params.flat.size)
+        grad = np.arange(params.flat.size, dtype=np.float64)
+        named = params.views(grad)
+        assert list(named) == list(PARAM_ORDER)
+        for name, view in named.items():
+            assert np.shares_memory(view, grad)
+            assert np.array_equal(view, getattr(params, name)), name
+
+    def test_init_draws_weights_in_layer_order(self):
+        params = init_params(3, 4, (6, 5), np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        for name, (n_in, n_out) in (("W1", (4, 6)), ("W2", (6, 5)),
+                                    ("Ws", (5, 3)), ("Wv", (5, 5)),
+                                    ("Wc", (5, 1))):
+            expected = rng.normal(0.0, np.sqrt(2.0 / (n_in + n_out)),
+                                  size=(n_in, n_out))
+            assert getattr(params, name).tobytes() == expected.tobytes(), name
+        for name in ("b1", "b2", "bs", "bv", "bc"):
+            assert not getattr(params, name).any()
 
 
 class TestForward:
@@ -179,10 +228,7 @@ class TestBackward:
         for _ in range(5):
             params = init_params(3, 5, (6, 4), rng)
             batch = random_batch(params, B=4, rng=rng)
-            _, grads = ppo_loss_and_grads(params, batch, 0.2, 0.5, 0.01)
-            ga = np.concatenate([grads[n].ravel() for n in
-                                 ("W1", "b1", "W2", "b2", "Ws", "bs",
-                                  "Wv", "bv", "Wc", "bc")])
+            _, ga = ppo_loss_and_grads(params, batch, 0.2, 0.5, 0.01)
             gn = central_difference_grad(
                 lambda p: ppo_loss(p, batch, 0.2, 0.5, 0.01), params)
             err = np.linalg.norm(ga - gn) / max(
@@ -193,9 +239,8 @@ class TestBackward:
         params = zero_params()
         batch = Minibatch(np.zeros((3, 4)), np.zeros(3, int), np.zeros(3, int),
                           np.log(np.full(3, 1 / 15)), np.zeros(3), np.zeros(3))
-        _, grads = ppo_loss_and_grads(params, batch, 0.2, 0.5, 0.0)
-        for g in grads.values():
-            assert not g.any()
+        _, grad = ppo_loss_and_grads(params, batch, 0.2, 0.5, 0.0)
+        assert grad.shape == params.flat.shape and not grad.any()
 
     def test_value_head_gradient_separated(self):
         params = init_params(3, 4, (6, 5), np.random.default_rng(5))
@@ -204,9 +249,24 @@ class TestBackward:
         batch = Minibatch(batch.features, batch.sensor_actions,
                           batch.velocity_actions, batch.old_log_probs,
                           np.zeros(4), batch.returns)
-        _, grads = ppo_loss_and_grads(params, batch, 0.2, 0.5, 0.0)
-        assert not grads["Ws"].any() and not grads["Wv"].any()
-        assert grads["Wc"].any()
+        _, grad = ppo_loss_and_grads(params, batch, 0.2, 0.5, 0.0)
+        g = params.views(grad)
+        assert not g["Ws"].any() and not g["Wv"].any()
+        assert g["Wc"].any()
+
+    def test_non_finite_gradient_names_the_array(self):
+        params = init_params(3, 4, (6, 5), np.random.default_rng(5))
+        batch = random_batch(params, B=4, rng=np.random.default_rng(6))
+        batch.features[0, 0] = np.nan
+        with pytest.raises(FloatingPointError, match="non-finite gradient in W1"):
+            ppo_loss_and_grads(params, batch, 0.2, 0.5, 0.0)
+
+
+def bc_only_grad(params, g):
+    """A flat gradient that is g on the value bias and zero elsewhere."""
+    grad = np.zeros_like(params.flat)
+    params.views(grad)["bc"][0] = g
+    return grad
 
 
 class TestAdam:
@@ -214,18 +274,17 @@ class TestAdam:
         params = zero_params()
         state = AdamState.for_params(params)
         g = 0.3
-        adam_update(params, {"bc": np.array([g])}, state, lr=0.01)
+        adam_update(params, bc_only_grad(params, g), state, lr=0.01)
         # bias-corrected first step: m_hat = g, sqrt(v_hat) = |g|
         assert params.bc[0] == pytest.approx(-0.01 * g / (abs(g) + 1e-8),
                                              rel=1e-9)
 
     def test_zero_grads_no_change(self):
         params = init_params(3, 4, (6, 5), np.random.default_rng(0))
-        before = params.to_flat()
+        before = params.flat.copy()
         state = AdamState.for_params(params)
-        adam_update(params, {n: np.zeros_like(a) for n, a in params.arrays().items()},
-                    state, lr=0.1)
-        assert np.array_equal(params.to_flat(), before)
+        adam_update(params, np.zeros_like(params.flat), state, lr=0.1)
+        assert np.array_equal(params.flat, before)
 
     def test_two_scripted_scalar_steps(self):
         params = zero_params()
@@ -240,8 +299,26 @@ class TestAdam:
             v = 0.999 * v + 0.001 * g * g
             x -= lr * (m / (1 - 0.9 ** t)) / (math.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
         for g in grads:
-            adam_update(params, {"bc": np.array([g])}, state, lr=lr)
+            adam_update(params, bc_only_grad(params, g), state, lr=lr)
         assert params.bc[0] == pytest.approx(x, rel=1e-12)
+        assert not params.flat[:-1].any()
+
+    def test_flat_update_matches_per_array_reference_bits(self):
+        params = init_params(4, 6, (7, 5), np.random.default_rng(11))
+        ref = {n: a.copy() for n, a in params.views(params.flat).items()}
+        m = {n: np.zeros_like(a) for n, a in ref.items()}
+        v = {n: np.zeros_like(a) for n, a in ref.items()}
+        state = AdamState.for_params(params)
+        rng = np.random.default_rng(12)
+        for t in range(1, 6):
+            grad = rng.normal(scale=10.0 ** rng.integers(-6, 2),
+                              size=params.flat.shape)
+            adam_update(params, grad, state, lr=3e-3)
+            per_array_adam(ref, {n: g.copy() for n, g in params.views(grad).items()},
+                           m, v, t, lr=3e-3)
+        assert state.t == 5
+        for name, arr in params.views(params.flat).items():
+            assert arr.tobytes() == ref[name].tobytes(), name
 
 
 class TestPersistence:
@@ -251,13 +328,59 @@ class TestPersistence:
         save_params(params, path)
         loaded = load_params(path)
         assert loaded.n_sensors == 4 and loaded.hidden == (8, 6)
-        assert np.array_equal(loaded.to_flat(), params.to_flat())
+        assert np.array_equal(loaded.flat, params.flat)
+        assert loaded.flat.flags.writeable and loaded.flat.flags.c_contiguous
+
+    def test_file_is_header_then_flat_little_endian(self, tmp_path):
+        params = init_params(4, 10, (8, 6), np.random.default_rng(3))
+        path = tmp_path / "params.bin"
+        save_params(params, str(path))
+        named = np.concatenate([getattr(params, n).ravel() for n in PARAM_ORDER])
+        assert path.read_bytes() == (MAGIC + struct.pack("<4I", 4, 10, 8, 6)
+                                     + named.astype("<f8").tobytes())
 
     def test_magic_enforced(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOTPPO1" + b"\x00" * 32)
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamsFileError, match="bad magic"):
             load_params(str(path))
+
+    @pytest.mark.parametrize("header, payload, match", [
+        (b"\x01", b"", "header has 1 of 16 bytes"),
+        # payloads that match the declared counts (101 and 59 parameters)
+        (struct.pack("<4I", 0, 4, 6, 5), b"\x00" * (8 * 101), "zero size in header"),
+        (struct.pack("<4I", 3, 4, 0, 5), b"\x00" * (8 * 59), "zero size in header"),
+        (struct.pack("<4I", 3, 4, 6, 5), b"\x00" * 8, "declares 119 parameters"),
+        (struct.pack("<4I", 3, 4, 6, 5), b"\x00" * (8 * 120), "holds 960 bytes"),
+    ], ids=["short-header", "zero-sensors", "zero-hidden", "truncated", "trailing"])
+    def test_malformed_file_rejected(self, tmp_path, header, payload, match):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(MAGIC + header + payload)
+        with pytest.raises(ParamsFileError, match=match):
+            load_params(str(path))
+
+    def test_huge_header_rejected_before_allocating(self, tmp_path):
+        # 100000 x 100000 hidden units would need 74.5 GiB of parameters
+        path = tmp_path / "huge.bin"
+        path.write_bytes(MAGIC + struct.pack("<4I", 10, 24, 100000, 100000)
+                         + b"\x00" * 64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParamsFileError, match="declares"):
+                load_params(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, tmp_path, bad):
+        params = init_params(3, 4, (6, 5), np.random.default_rng(3))
+        params.Wv[2, 1] = bad
+        path = str(tmp_path / "params.bin")
+        save_params(params, path)
+        with pytest.raises(ParamsFileError, match="non-finite parameter value"):
+            load_params(path)
 
 
 def velocities(world):
@@ -273,7 +396,7 @@ class TestTrainEvaluate:
         a = train(self.CFG, self.PPO, seed=5)
         b = train(self.CFG, self.PPO, seed=5)
         assert a.curve == b.curve
-        assert np.array_equal(a.params.to_flat(), b.params.to_flat())
+        assert np.array_equal(a.params.flat, b.params.flat)
 
     def test_greedy_eval_deterministic(self):
         result = train(self.CFG, self.PPO, seed=5)
