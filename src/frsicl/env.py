@@ -43,6 +43,13 @@ class World:
     env_rng: RngStream
     policy_rng: RngStream
     log: List[StepRecord] = field(default_factory=list)
+    # (distance, path loss, SNR) arrays at uav.pos: filled on first use by
+    # _link_at_uav, cleared by advance_uav. The post-move position of frame k
+    # is the pre-move position of frame k + 1, so one link budget per frame
+    # serves both attempt_collection and the next observe. Code that moves a
+    # sensor or sets uav.pos directly must reset it to None.
+    link: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+        default=None, repr=False)
 
     @property
     def sensors(self) -> Tuple[SensorView, ...]:
@@ -77,6 +84,14 @@ def advance_uav(world: World, velocity: float) -> None:
     uav = world.uav
     uav.arc_s += velocity * world.cfg.dt_s
     uav.pos = _orbit_pos(world.cfg, uav.arc_s)
+    world.link = None
+
+
+def _link_at_uav(world: World) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(distance, path loss, SNR) to every sensor from the UAV's position."""
+    if world.link is None:
+        world.link = channel.link_budget(world.uav.pos, world.pos, world.cfg)
+    return world.link
 
 
 def attempt_collection(world: World, sensor_id: int) -> bool:
@@ -91,8 +106,7 @@ def attempt_collection(world: World, sensor_id: int) -> bool:
     if world.battery_j[j] < cfg.e_tx_j:
         return False
     world.battery_j[j] -= cfg.e_tx_j
-    _, _, snr = channel.link_budget(world.uav.pos, world.pos[j], cfg)
-    p = channel.success_probability(snr, cfg)
+    p = channel.success_probability(_link_at_uav(world)[2][j], cfg)
     if cfg.success_model == "threshold":
         return bool(p >= 1.0)
     return bool(world.env_rng.random() < p)
@@ -156,7 +170,7 @@ def observe(world: World) -> Observation:
     """Frame-start snapshot with link budgets at the pre-move UAV position;
     `aoi_s` is a copy, which step() leaves at the frame-start values."""
     cfg = world.cfg
-    distance, path_loss, snr = channel.link_budget(world.uav.pos, world.pos, cfg)
+    distance, path_loss, snr = _link_at_uav(world)
     eligible = world.battery_j >= cfg.e_tx_j
     if cfg.success_model == "threshold":
         eligible &= snr >= cfg.snr_threshold_db

@@ -15,7 +15,7 @@ from .config import ConfigError, WorldConfig, save_world_config
 from .env import ActionError, init_world, run_episode, step as env_step
 from .icl import IclConfig, IclPolicy
 from .policies import MaxAoiPolicy, NearestNeighborPolicy, RoundRobinPolicy
-from .ppo import PpoPolicy, load_params
+from .ppo import ParamsFileError, PpoPolicy, load_params
 from .states import Action, RunSummary
 
 POLICY_NAMES = ("icl", "ppo", "nearest", "roundrobin", "maxaoi")
@@ -135,10 +135,31 @@ def run_experiment(spec: ExperimentSpec) -> List[RunSummary]:
     return artifacts.summaries
 
 
+def _check_ppo_params_fit(spec: ExperimentSpec, counts: Sequence[int]) -> None:
+    """A sweep gives every count the one PPO parameters file, and a network
+    fits one sensor count: fail before the first run if any count misfits."""
+    if not spec.ppo_params_path:
+        raise ConfigError("ppo policy requires a trained parameters file")
+    params = load_params(spec.ppo_params_path)
+    misfits = []
+    for n in counts:
+        try:
+            PpoPolicy(params, spec.world.replace(n_sensors=n))
+        except ParamsFileError:
+            misfits.append(str(n))
+    if misfits:
+        raise ConfigError(
+            f"PPO parameters in {spec.ppo_params_path} are for {params.n_sensors} "
+            f"sensors and do not fit sensor count(s) {','.join(misfits)}")
+
+
 def sweep_sensors(spec: ExperimentSpec, policies: Sequence[str],
                   counts: Sequence[int] = (5, 10, 15)) -> List[Tuple[int, str, float, float, int]]:
     """Sensor-count sweep: every count x policy x seed; aggregates the
-    per-run time-averaged AoI. Emits sweep.csv."""
+    per-run time-averaged AoI. Emits sweep.csv. With "ppo" among the
+    policies, the parameters file is checked against every count first."""
+    if "ppo" in policies:
+        _check_ppo_params_fit(spec, counts)
     rows = []
     for n in counts:
         for policy in policies:

@@ -14,9 +14,10 @@ import json
 import os
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import requests
+if TYPE_CHECKING:
+    import requests
 
 API_KEY_ENV = "FRSICL_API_KEY"
 
@@ -42,15 +43,23 @@ class CompletionRequest:
 
 
 class HttpBackend:
-    """POSTs to <endpoint>/v1/chat/completions with a bearer credential."""
+    """POSTs to <endpoint>/v1/chat/completions with a bearer credential.
+
+    `requests` (and with it urllib3 and ssl) is imported here, not at module
+    level, so that only a run that builds an HTTP backend loads it.
+    """
 
     def __init__(self, endpoint: str, timeout_s: float = 10.0,
                  session: Optional[requests.Session] = None):
+        import requests
+
         self.endpoint = endpoint.rstrip("/")
         self.timeout_s = timeout_s
         self.session = session or requests.Session()
 
     def complete(self, request: CompletionRequest) -> str:
+        import requests
+
         url = f"{self.endpoint}/v1/chat/completions"
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(API_KEY_ENV, "")

@@ -83,14 +83,25 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
+def _draw(log_probs: np.ndarray, rng: np.random.Generator) -> int:
+    """One categorical draw by inverse CDF: the steps, and the one uniform,
+    that `rng.choice(len(p), p=p)` takes; of its argument checks, only the
+    one that makes NaN logits fail is kept."""
+    cdf = np.exp(log_probs).cumsum()
+    if not np.isfinite(cdf[-1]):
+        raise ValueError("probabilities are not finite")
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def sample_action(sensor_logits: np.ndarray, velocity_logits: np.ndarray,
                   rng: np.random.Generator):
     """Independent categorical draw per head; returns indices and the joint
     log-probability of the sampled pair."""
     lp_s = log_softmax(sensor_logits.ravel())
     lp_v = log_softmax(velocity_logits.ravel())
-    a_s = int(rng.choice(len(lp_s), p=np.exp(lp_s)))
-    a_v = int(rng.choice(len(lp_v), p=np.exp(lp_v)))
+    a_s = _draw(lp_s, rng)
+    a_v = _draw(lp_v, rng)
     return a_s, a_v, float(lp_s[a_s] + lp_v[a_v])
 
 

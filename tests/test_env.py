@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frsicl import channel
 from frsicl.config import WorldConfig
 from frsicl.env import (ActionError, HorizonError, advance_uav,
                         attempt_collection, init_world, observe, run_episode,
                         step, update_aoi)
-from frsicl.policies import RoundRobinPolicy
+from frsicl.policies import MaxAoiPolicy, RoundRobinPolicy
 from frsicl.states import Action
 
 CFG = WorldConfig()
@@ -108,6 +109,44 @@ class TestAttemptCollection:
                              for i in range(10)])
         assert outcomes[0] == outcomes[1]
         assert all(type(o) is bool for o in outcomes[0])
+
+
+class TestOneLinkBudgetPerFrame:
+    """observe and attempt_collection share one link budget per UAV position."""
+
+    def test_calls_per_episode(self, monkeypatch):
+        calls = []
+        real = channel.link_budget
+        monkeypatch.setattr(channel, "link_budget",
+                            lambda *args: calls.append(args) or real(*args))
+        for policy in (RoundRobinPolicy(CFG), MaxAoiPolicy(CFG)):
+            calls.clear()
+            run_episode(init_world(CFG, seed=4), policy)
+            assert len(calls) == CFG.n_steps + 1
+
+    @pytest.mark.parametrize("model", ["threshold", "logistic"])
+    @given(seed=st.integers(0, 2**32 - 1),
+           actions=st.lists(st.tuples(st.integers(1, 10), st.floats(-5.0, 20.0)),
+                            min_size=1, max_size=30))
+    @settings(max_examples=40, deadline=None)
+    def test_success_equals_one_sensor_link_budget(self, model, seed, actions):
+        # a small battery also covers the ineligible path, which draws nothing
+        cfg = CFG.replace(success_model=model, battery_j=0.2)
+        w = init_world(cfg, seed=seed)
+        twin_rng = init_world(cfg, seed=seed).env_rng
+        for sensor, v in actions:
+            observe(w)
+            eligible = w.battery_j[sensor - 1] >= cfg.e_tx_j
+            rec = step(w, Action(sensor, v))
+            _, _, snr = channel.link_budget(w.uav.pos, w.pos[sensor - 1], cfg)
+            p = channel.success_probability(snr, cfg)
+            if not eligible:
+                expected = False
+            elif model == "threshold":
+                expected = bool(p >= 1.0)
+            else:
+                expected = bool(twin_rng.random() < p)
+            assert rec.success is expected
 
 
 class TestUpdateAoi:

@@ -380,3 +380,22 @@ class TestPpoParamsFileCli:
         assert cli_main(argv) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert match in err and "Traceback" not in err
+
+    def test_ppo_sweep_over_a_misfit_count_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["sweep", "--policies", "ppo", "--counts", "10,5", "--ppo-params",
+                _saved_params(tmp_path, 10, 24), "--out-dir", str(out)]
+        assert cli_main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "do not fit sensor count(s) 5" in err and "Traceback" not in err
+        assert not out.exists()
+        argv[argv.index("10,5")] = "10"
+        assert cli_main(argv) == EXIT_OK
+        assert (out / "n10-ppo" / "steps.csv").exists()
+
+    def test_ppo_sweep_without_params_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli_main(["sweep", "--policies", "maxaoi,ppo", "--counts", "5",
+                         "--out-dir", str(out)]) == EXIT_VALIDATION
+        assert "requires a trained parameters file" in capsys.readouterr().err
+        assert not out.exists()

@@ -1,10 +1,14 @@
-"""Every name a module under src/frsicl imports is used in that module.
+"""Every name a module under src/frsicl imports is used in that module,
+and importing the package does not load the HTTP stack.
 
 Package `__init__.py` files are skipped: their imports are re-exports.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "frsicl"
 
@@ -35,3 +39,18 @@ def test_no_unused_imports_in_src():
              for path in sorted(SRC.rglob("*.py")) if path.name != "__init__.py"
              for line, name in unused_imports(path.read_text(encoding="utf-8"))]
     assert found == []
+
+
+def test_http_stack_loads_only_with_an_http_backend():
+    # certifi is left out: the interpreter's site hooks may load it
+    script = (
+        "import sys\n"
+        "import frsicl, frsicl.cli, frsicl.harness, frsicl.icl\n"
+        "print(sorted(m for m in ('requests', 'urllib3', 'ssl') if m in sys.modules))\n"
+        "frsicl.icl.make_backend('http', 'http://x', 1.0)\n"
+        "print('requests' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    assert out == ["[]", "True"]

@@ -10,6 +10,9 @@ from frsicl.policies import (MaxAoiPolicy, NearestNeighborPolicy,
 from frsicl.states import Observation
 
 CFG = WorldConfig()
+# Scaling by a power of two is exact, so it keeps every order and every tie;
+# an arbitrary factor can round two close values into a tie.
+POWER_OF_TWO = st.integers(min_value=-4, max_value=4).map(lambda m: 2.0 ** m)
 
 
 def make_obs(distances=None, aois=None, eligible=None):
@@ -39,7 +42,7 @@ class TestNearestNeighbor:
         assert nearest_neighbor_decide(make_obs(distances=[5]), 15.0).velocity_mps == 15.0
 
     @given(st.lists(st.floats(min_value=0.1, max_value=100), min_size=2, max_size=8),
-           st.floats(min_value=0.1, max_value=100))
+           POWER_OF_TWO)
     def test_scale_invariance(self, distances, k):
         a = nearest_neighbor_decide(make_obs(distances=distances), 15.0)
         b = nearest_neighbor_decide(
@@ -78,7 +81,7 @@ class TestMaxAoi:
         assert max_aoi_decide(obs, 15.0).sensor == 2
 
     @given(st.lists(st.floats(min_value=0.1, max_value=40), min_size=2, max_size=8),
-           st.floats(min_value=0.1, max_value=10))
+           POWER_OF_TWO)
     def test_scale_invariance(self, aois, k):
         a = max_aoi_decide(make_obs(aois=aois), 15.0)
         b = max_aoi_decide(make_obs(aois=[x * k for x in aois]), 15.0)

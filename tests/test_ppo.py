@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frsicl.config import WorldConfig
 from frsicl.env import init_world
@@ -147,6 +149,35 @@ class TestSampleAction:
         a_s, a_v, logp = sample_action(ls, lv, rng)
         expected = log_softmax(ls)[a_s] + log_softmax(lv)[a_v]
         assert abs(logp - expected) < 1e-9
+
+    # plain logits up to 1e3 in magnitude, and near-ties a few ulps or 1e-9 apart
+    LOGITS = st.one_of(
+        st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=12),
+        st.builds(lambda base, steps, unit: [base + k * unit for k in steps],
+                  st.floats(-1e3, 1e3),
+                  st.lists(st.integers(-3, 3), min_size=1, max_size=12),
+                  st.sampled_from([0.0, 1e-9, 2.3e-13])))
+
+    @given(ls=LOGITS, lv=st.lists(st.floats(-1e3, 1e3), min_size=5, max_size=5),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_draw_equals_generator_choice(self, ls, lv, seed):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            a_s, a_v, _ = sample_action(np.array(ls), np.array(lv), rng)
+            expected = [int(twin.choice(len(x), p=np.exp(log_softmax(np.array(x)))))
+                        for x in (ls, lv)]
+            assert [a_s, a_v] == expected
+            assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_logits_raise(self, bad):
+        logits = np.zeros(4)
+        logits[1] = bad
+        if bad == -np.inf:
+            logits[:] = bad
+        with pytest.raises(ValueError):
+            sample_action(logits, np.zeros(5), np.random.default_rng(0))
 
     def test_velocity_bins_at_defaults(self):
         assert [velocity_from_bin(i, 15.0) for i in range(5)] == \
