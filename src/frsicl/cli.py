@@ -30,14 +30,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_VALIDATION)
 
 
-def _parse_seeds(text: str) -> List[int]:
+def _parse_list(flag: str, text: str, kind=str) -> list:
+    """The entries of a comma list, at least one; empty entries are skipped."""
     try:
-        seeds = [int(part) for part in text.split(",") if part != ""]
+        items = [kind(part) for part in text.split(",") if part != ""]
     except ValueError:
-        seeds = None
-    if seeds:
-        return seeds
-    raise ConfigError(f"--seed expects an integer or comma list, got {text!r}")
+        items = None
+    if items:
+        return items
+    raise ConfigError(f"{flag} expects one value or a comma list, got {text!r}")
+
+
+def _parse_seeds(text: str) -> List[int]:
+    return _parse_list("--seed", text, int)
 
 
 def _config_from_args(args) -> WorldConfig:
@@ -146,8 +151,8 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
 
         if args.command == "sweep":
             cfg = _config_from_args(args)
-            policies = [p for p in args.policies.split(",") if p]
-            counts = [int(c) for c in args.counts.split(",")]
+            policies = _parse_list("--policies", args.policies)
+            counts = _parse_list("--counts", args.counts, int)
             icl_cfg = _icl_from_args(args, "icl" if "icl" in policies else "")
             spec = ExperimentSpec(
                 world=cfg, policy=policies[0], seeds=_parse_seeds(args.seed),
@@ -161,9 +166,9 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
         if args.command == "train-ppo":
             cfg = _config_from_args(args)
             seed = _parse_seeds(args.seed)[0]
-            os.makedirs(args.out_dir, exist_ok=True)
             ppo_cfg = PpoConfig(episodes=args.episodes,
                                 steps_per_episode=cfg.n_steps)
+            os.makedirs(args.out_dir, exist_ok=True)
             result = train(cfg, ppo_cfg, seed,
                            curve_path=os.path.join(args.out_dir,
                                                    "learning_curve.csv"))

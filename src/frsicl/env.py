@@ -26,6 +26,18 @@ class ActionError(ValueError):
     """An action names no sensor of the world, or a non-finite velocity."""
 
 
+Link = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+class LinkMemo(dict):
+    """uav.pos -> (distance, path loss, SNR), shared by worlds with one `pos`
+    and one `cfg`. It takes no new position once it holds `capacity`."""
+
+    def __init__(self, capacity: int):
+        super().__init__()
+        self.capacity = capacity
+
+
 class SensorView(NamedTuple):
     id: int  # 1-based
     pos: Tuple[float, float]
@@ -48,8 +60,10 @@ class World:
     # is the pre-move position of frame k + 1, so one link budget per frame
     # serves both attempt_collection and the next observe. Code that moves a
     # sensor or sets uav.pos directly must reset it to None.
-    link: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
-        default=None, repr=False)
+    link: Optional[Link] = field(default=None, repr=False)
+    # Link budgets by UAV position, kept across worlds with this pos and cfg;
+    # its arrays are read-only. A world that moves a sensor must not use one.
+    link_memo: Optional[LinkMemo] = field(default=None, repr=False)
 
     @property
     def sensors(self) -> Tuple[SensorView, ...]:
@@ -87,10 +101,19 @@ def advance_uav(world: World, velocity: float) -> None:
     world.link = None
 
 
-def _link_at_uav(world: World) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _link_at_uav(world: World) -> Link:
     """(distance, path loss, SNR) to every sensor from the UAV's position."""
     if world.link is None:
-        world.link = channel.link_budget(world.uav.pos, world.pos, world.cfg)
+        memo, pos = world.link_memo, world.uav.pos
+        link = None if memo is None else memo.get(pos)
+        if link is None:
+            link = channel.link_budget(pos, world.pos, world.cfg)
+            if memo is not None:
+                for a in link:
+                    a.flags.writeable = False
+                if len(memo) < memo.capacity:
+                    memo[pos] = link
+        world.link = link
     return world.link
 
 

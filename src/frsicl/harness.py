@@ -11,7 +11,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import ConfigError, WorldConfig, save_world_config
+from .config import ConfigError, WorldConfig, save_world_config, validate_config
 from .env import ActionError, init_world, run_episode, step as env_step
 from .icl import IclConfig, IclPolicy
 from .policies import MaxAoiPolicy, NearestNeighborPolicy, RoundRobinPolicy
@@ -35,6 +35,11 @@ def fmt(x: float) -> str:
     return f"{float(x):.6g}"
 
 
+def _check_policy(policy: str) -> None:
+    if policy not in POLICY_NAMES:
+        raise ConfigError(f"unknown policy {policy!r}; choose one of {POLICY_NAMES}")
+
+
 @dataclass
 class ExperimentSpec:
     world: WorldConfig
@@ -45,9 +50,7 @@ class ExperimentSpec:
     ppo_params_path: Optional[str] = None
 
     def __post_init__(self):
-        if self.policy not in POLICY_NAMES:
-            raise ConfigError(f"unknown policy {self.policy!r}; "
-                              f"choose one of {POLICY_NAMES}")
+        _check_policy(self.policy)
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("replicate seeds must be distinct")
 
@@ -156,8 +159,18 @@ def _check_ppo_params_fit(spec: ExperimentSpec, counts: Sequence[int]) -> None:
 def sweep_sensors(spec: ExperimentSpec, policies: Sequence[str],
                   counts: Sequence[int] = (5, 10, 15)) -> List[Tuple[int, str, float, float, int]]:
     """Sensor-count sweep: every count x policy x seed; aggregates the
-    per-run time-averaged AoI. Emits sweep.csv. With "ppo" among the
-    policies, the parameters file is checked against every count first."""
+    per-run time-averaged AoI. Emits sweep.csv. Empty or repeated lists,
+    an unknown policy and a count the config rejects fail before the first
+    run; so does, with "ppo" among the policies, a parameters file that
+    misfits a count."""
+    for name, items in (("policies", policies), ("counts", counts)):
+        if not items or len(set(items)) != len(items):
+            raise ConfigError(f"sweep {name} must be non-empty and distinct, "
+                              f"got {list(items)}")
+    for policy in policies:
+        _check_policy(policy)
+    for n in counts:
+        validate_config(spec.world.replace(n_sensors=n))
     if "ppo" in policies:
         _check_ppo_params_fit(spec, counts)
     rows = []

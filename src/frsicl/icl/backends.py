@@ -84,9 +84,13 @@ class HttpBackend:
         if not 200 <= response.status_code < 300:
             raise BackendError(f"status {response.status_code}")
         try:
-            return response.json()["choices"][0]["message"]["content"]
+            content = response.json()["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise BackendError(f"malformed completion body: {exc}") from exc
+        if not isinstance(content, str):
+            raise BackendError("malformed completion body: content is "
+                               f"{type(content).__name__}, not a string")
+        return content
 
 
 def _parse_step_prompt(user: str):

@@ -38,6 +38,9 @@ class IclConfig:
             raise ValueError("max_retries must be >= 0")
         if self.top_k_examples > self.pool_capacity:
             raise ValueError("top_k_examples must not exceed pool capacity")
+        # also False for NaN
+        if not 0.0 < self.timeout_s < float("inf"):
+            raise ValueError(f"timeout_s must be finite and positive, got {self.timeout_s!r}")
 
 
 @dataclass

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 from ..config import WorldConfig
 from ..env import clamp_velocity
@@ -24,55 +25,62 @@ class ParseError(ValueError):
         self.tag = tag
 
 
-def _first_object_literal(raw: str):
-    """Yield substrings that are balanced {...} literals, left to right."""
-    i = 0
-    n = len(raw)
-    while i < n:
-        if raw[i] != "{":
-            i += 1
-            continue
-        depth = 0
-        in_string = False
-        escaped = False
-        for j in range(i, n):
-            ch = raw[j]
-            if in_string:
-                if escaped:
-                    escaped = False
-                elif ch == "\\":
-                    escaped = True
-                elif ch == '"':
-                    in_string = False
-            elif ch == '"':
-                in_string = True
-            elif ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0:
-                    yield raw[i:j + 1]
-                    break
-        i += 1
+_DECODER = json.JSONDecoder()
+# A "{" that can open an object: JSON whitespace, then a key or "}".
+_OBJECT_START = re.compile(r'\{[ \t\n\r]*["}]')
+# First window decoded from a "{"; it holds a whole reply of the grammar.
+_FIRST_WINDOW = 64
+# Lookahead of the decoder past the character it fails at: 9 for
+# "-Infinity", 5 for a \uXXXX escape.
+_LOOKAHEAD = 16
+
+
+def _object_at(raw: str, i: int):
+    """The JSON object that decodes from raw[i], or None.
+
+    A JSONDecodeError counts the lines before its position, which costs
+    O(i) on raw itself; so raw[i:i + w] is decoded instead, w doubling
+    while the failure may be due to the cut, and a failure costs about
+    the characters the decoder read.
+    """
+    w = _FIRST_WINDOW
+    while True:
+        try:
+            return _DECODER.raw_decode(raw[i:i + w])[0]
+        except RecursionError:
+            return None
+        # ValueError also covers integer literals over Python's digit limit
+        except ValueError as exc:
+            pos = getattr(exc, "pos", None)
+            cut = (i + w < len(raw) and pos is not None
+                   and (pos > w - _LOOKAHEAD or exc.msg.startswith("Unterminated string")))
+            if not cut:
+                return None
+        w *= 2
+
+
+def _first_object(raw: str):
+    """The first JSON object that decodes from a "{" in raw, left to right,
+    or None: one decode attempt per "{" that can open an object."""
+    for start in _OBJECT_START.finditer(raw):
+        obj = _object_at(raw, start.start())
+        if obj is not None:
+            return obj
+    return None
 
 
 def parse_action(raw: str, cfg: WorldConfig) -> Action:
-    """Scan raw text for the first balanced JSON object and read the action.
+    """Read the action from the first JSON object in raw text.
 
     Surrounding prose is ignored. The sensor must be an integer in
     [1, n_sensors]; the velocity must be a finite number and is clamped
     into the configured bounds.
     """
-    obj = None
-    for candidate in _first_object_literal(raw):
-        try:
-            parsed = json.loads(candidate)
-        # ValueError also covers integer literals over Python's digit limit
-        except (ValueError, RecursionError):
-            continue
-        if isinstance(parsed, dict):
-            obj = parsed
-            break
+    return _read_action(_first_object(raw), cfg)
+
+
+def _read_action(obj, cfg: WorldConfig) -> Action:
+    """The action in a decoded object; None stands for no object found."""
     if obj is None:
         raise ParseError(NO_OBJECT, "no JSON object literal found in response")
 

@@ -24,8 +24,7 @@ class Minibatch:
     returns: np.ndarray          # (B,)
 
 
-def _entropy(lp: np.ndarray) -> np.ndarray:
-    p = np.exp(lp)
+def _entropy(p: np.ndarray, lp: np.ndarray) -> np.ndarray:
     return -(p * lp).sum(axis=-1)
 
 
@@ -65,16 +64,15 @@ def ppo_loss_and_grads(params: MlpParams, batch: Minibatch, clip_eps: float,
     policy_loss = -np.minimum(surr1, surr2).mean()
     value_err = value - ret
     value_loss = value_coef * np.mean(value_err ** 2)
-    H_s = _entropy(lp_s)
-    H_v = _entropy(lp_v)
+    p_s = np.exp(lp_s)
+    p_v = np.exp(lp_v)
+    H_s = _entropy(p_s, lp_s)
+    H_v = _entropy(p_v, lp_v)
     entropy = (H_s + H_v).mean()
     loss = float(policy_loss + value_loss - entropy_coef * entropy)
 
     if not want_grads:
         return loss, None
-
-    p_s = np.exp(lp_s)
-    p_v = np.exp(lp_v)
 
     # Policy term: gradient flows through the unclipped branch only; where
     # the clip is active on the selected branch the contribution is zero.

@@ -9,8 +9,9 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from ..config import WorldConfig
-from ..env import World, init_world, run_episode, step as env_step, observe
+from ..config import ConfigError, WorldConfig
+from ..env import (LinkMemo, World, init_world, observe, run_episode,
+                   step as env_step)
 from ..features import feature_dim, feature_vector
 from ..rng import RngStream
 from ..states import Action, RunSummary
@@ -18,8 +19,8 @@ from .adam import AdamState, adam_update
 from .gae import gae_advantages, normalize_advantages
 from .io import ParamsFileError
 from .loss import Minibatch, ppo_loss_and_grads
-from .net import (MlpParams, forward, init_params, sample_action,
-                  velocity_from_bin)
+from .net import (MlpParams, N_VELOCITY_BINS, forward, init_params,
+                  sample_action, velocity_from_bin)
 
 
 @dataclass
@@ -35,6 +36,10 @@ class PpoConfig:
     episodes: int = 2000
     steps_per_episode: int = 30
     hidden: Tuple[int, int] = (64, 64)
+
+    def __post_init__(self):
+        if self.episodes < 1:
+            raise ConfigError(f"episodes must be at least 1, got {self.episodes}")
 
 
 class PpoPolicy:
@@ -70,10 +75,21 @@ class TrainResult:
 
 def default_world_factory(cfg: WorldConfig, seed: int) -> Callable[[int], World]:
     """Fresh episodes of the same fixed deployment: the sensor layout is a
-    function of the seed alone, matching training on one field."""
+    function of the seed alone, matching training on one field.
+
+    The worlds share one LinkMemo of capacity (N_VELOCITY_BINS - 1) *
+    n_steps + 1. That is every orbit position an episode can reach when
+    v_min_mps is 0 and the sums of v * dt_s are exact, as at the defaults
+    (multiples of v_max / 4 times 1 s). Otherwise more positions are
+    reachable: the memo stops storing once full and computes the rest, so
+    its hit rate falls but no result changes.
+    """
+    memo = LinkMemo((N_VELOCITY_BINS - 1) * cfg.n_steps + 1)
 
     def factory(episode: int) -> World:
-        return init_world(cfg, seed=seed)
+        world = init_world(cfg, seed=seed)
+        world.link_memo = memo
+        return world
 
     return factory
 

@@ -8,6 +8,7 @@ implementation paths under test.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from typing import List, Sequence, Tuple
 
@@ -111,6 +112,53 @@ def per_array_adam(arrays, grads, m, v, t: int, lr: float,
         m_hat = m[name] / (1.0 - beta1 ** t)
         v_hat = v[name] / (1.0 - beta2 ** t)
         arrays[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+# --- balanced-brace scan for the first JSON object -----------------------
+
+def balanced_object_literals(raw: str):
+    """Yield substrings that are balanced {...} literals, left to right,
+    rescanning from every "{" (quadratic in the worst case)."""
+    i = 0
+    n = len(raw)
+    while i < n:
+        if raw[i] != "{":
+            i += 1
+            continue
+        depth = 0
+        in_string = False
+        escaped = False
+        for j in range(i, n):
+            ch = raw[j]
+            if in_string:
+                if escaped:
+                    escaped = False
+                elif ch == "\\":
+                    escaped = True
+                elif ch == '"':
+                    in_string = False
+            elif ch == '"':
+                in_string = True
+            elif ch == "{":
+                depth += 1
+            elif ch == "}":
+                depth -= 1
+                if depth == 0:
+                    yield raw[i:j + 1]
+                    break
+        i += 1
+
+
+def scanned_first_object(raw: str):
+    """The first balanced literal that json.loads reads as a dict, or None."""
+    for candidate in balanced_object_literals(raw):
+        try:
+            parsed = json.loads(candidate)
+        except (ValueError, RecursionError):
+            continue
+        if isinstance(parsed, dict):
+            return parsed
+    return None
 
 
 # --- retrieval sort oracle ------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from frsicl import channel
 from frsicl.config import WorldConfig
-from frsicl.env import (ActionError, HorizonError, advance_uav,
+from frsicl.env import (ActionError, HorizonError, LinkMemo, advance_uav,
                         attempt_collection, init_world, observe, run_episode,
                         step, update_aoi)
 from frsicl.policies import MaxAoiPolicy, RoundRobinPolicy
@@ -123,6 +123,30 @@ class TestOneLinkBudgetPerFrame:
             calls.clear()
             run_episode(init_world(CFG, seed=4), policy)
             assert len(calls) == CFG.n_steps + 1
+
+    @pytest.mark.parametrize("model", ["threshold", "logistic"])
+    @given(seed=st.integers(0, 2**32 - 1), capacity=st.sampled_from([0, 1, 3, 121]),
+           episodes=st.lists(st.lists(
+               st.tuples(st.integers(1, 10),
+                         st.one_of(st.sampled_from([0.0, 3.75, 7.5, 11.25, 15.0]),
+                                   st.floats(-5.0, 20.0))),
+               min_size=1, max_size=30), min_size=1, max_size=3))
+    @settings(max_examples=40, deadline=None)
+    def test_shared_memo_logs_the_same_steps(self, model, seed, capacity, episodes):
+        # a small battery also covers the ineligible path
+        cfg = CFG.replace(success_model=model, battery_j=0.2)
+        memo = LinkMemo(capacity)
+        for actions in episodes:
+            plain, shared = init_world(cfg, seed=seed), init_world(cfg, seed=seed)
+            shared.link_memo = memo
+            for sensor, v in actions:
+                a, b = observe(plain), observe(shared)
+                assert a.snr_db.tobytes() == b.snr_db.tobytes()
+                assert a.eligible.tobytes() == b.eligible.tobytes()
+                step(plain, Action(sensor, v))
+                step(shared, Action(sensor, v))
+            assert shared.log == plain.log
+        assert len(memo) <= capacity
 
     @pytest.mark.parametrize("model", ["threshold", "logistic"])
     @given(seed=st.integers(0, 2**32 - 1),

@@ -323,6 +323,43 @@ class TestCli:
                          "--config", str(defaults)]) == EXIT_VALIDATION
         assert "replay divergence" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,match", [
+        (["--policies", ",", "--counts", "5"], "--policies expects"),
+        (["--policies", "maxaoi", "--counts", ","], "--counts expects"),
+        (["--policies", "maxaoi", "--counts", "5,x"], "--counts expects"),
+        (["--policies", "maxaoi", "--counts", "5,5"], "counts must be non-empty and distinct"),
+        (["--policies", "maxaoi,nearest,maxaoi", "--counts", "5"],
+         "policies must be non-empty and distinct"),
+        (["--policies", "maxaoi,oracle", "--counts", "5"], "unknown policy 'oracle'"),
+        (["--policies", "maxaoi", "--counts", "5,0"], "n_sensors"),
+    ], ids=["no-policy", "no-count", "bad-count", "repeated-count", "repeated-policy",
+            "unknown-policy", "zero-count"])
+    def test_bad_sweep_lists_run_nothing(self, tmp_path, capsys, flags, match):
+        out = tmp_path / "out"
+        assert cli_main(["sweep", *flags, "--out-dir", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert match in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("episodes", ["0", "-1"])
+    def test_train_ppo_needs_an_episode(self, tmp_path, capsys, episodes):
+        out = tmp_path / "out"
+        assert cli_main(["train-ppo", "--episodes", episodes,
+                         "--out-dir", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"episodes must be at least 1, got {episodes}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("timeout", ["nan", "inf", "0", "-2"])
+    def test_llm_timeout_must_be_finite_and_positive(self, tmp_path, capsys, timeout):
+        out = tmp_path / "out"
+        assert cli_main(["run", "--policy", "icl", "--mock-llm", "max-aoi",
+                         "--llm-timeout", timeout, "--out-dir", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "timeout_s must be finite and positive" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_sweep_ok(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = cli_main(["sweep", "--policies", "maxaoi,nearest",

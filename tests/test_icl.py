@@ -16,13 +16,14 @@ from frsicl.icl import (BackendError, CompletionRequest, ExperiencePool,
                         MockBackend, ParseError, build_step_prompt,
                         build_system_prompt, icl_decide, make_backend,
                         parse_action)
+from frsicl.icl import parsing
 from frsicl.icl.backends import _parse_step_prompt
 from frsicl.icl.parsing import (MISSING_FIELD, NO_OBJECT, NON_FINITE,
                                 NON_NUMERIC, SENSOR_OUT_OF_RANGE)
 from frsicl.policies import max_aoi_decide, nearest_neighbor_decide
 from frsicl.states import Action, Observation
 
-from oracles import brute_force_top_k
+from oracles import brute_force_top_k, scanned_first_object
 
 CFG = WorldConfig()
 
@@ -257,6 +258,69 @@ class TestParseAction:
             assert 0.0 <= action.velocity_mps <= CFG.v_max_mps
 
 
+def parse_outcome(parse):
+    """The action parse() returns, or the tag of the ParseError it raises."""
+    try:
+        return parse()
+    except ParseError as exc:
+        return exc.tag
+
+
+# fragments of replies: braces, quotes, escapes, separators, numbers, NaN
+# and a whole action, so that objects open, close and break in many ways
+REPLY_TOKENS = st.sampled_from([
+    "{", "}", '"', "\\", ":", ",", " ", "[", "]", "1", "NaN", '"sensor"',
+    '"velocity"', '{"sensor": 2, "velocity": 7.5}', "x" * 20])
+
+
+class TestLinearParse:
+    # small windows put the decoder's cut everywhere
+    @pytest.mark.parametrize("window", [1, 17, 20, 64])
+    @given(tokens=st.lists(REPLY_TOKENS, max_size=40))
+    @settings(max_examples=500, deadline=None)
+    def test_same_outcome_as_the_balanced_brace_scan(self, window, tokens):
+        raw = "".join(tokens)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(parsing, "_FIRST_WINDOW", window)
+            assert parse_outcome(lambda: parse_action(raw, CFG)) == parse_outcome(
+                lambda: parsing._read_action(scanned_first_object(raw), CFG))
+
+    @pytest.mark.parametrize("window", [17, 64])
+    def test_a_cut_anywhere_in_the_object_decodes_on(self, monkeypatch, window):
+        # the first window ends inside a long string, a literal, a number
+        # or an escape, depending on the padding
+        monkeypatch.setattr(parsing, "_FIRST_WINDOW", window)
+        tail = ('", "t": true, "n": -Infinity, "e": -1.5e-3, "u": "\\u00e9\\ud83d\\ude00", '
+                '"sensor": 2, "velocity": 5}')
+        for pad in range(3 * window):
+            raw = 'ok {"note": "' + "x" * pad + tail
+            assert parse_action(raw, CFG) == Action(sensor=2, velocity_mps=5.0), pad
+
+    @pytest.mark.parametrize("raw", [
+        "{" * 100_000 + '{"sensor": 3, "velocity": 5}',
+        '{"' * 100_000,
+        '{"a": "' + "x{" * 100_000,
+        ('{"a": ' + "1" * 100 + " ") * 1000,
+    ], ids=["braces", "keys", "unterminated-string", "numbers"])
+    def test_work_is_linear_in_the_reply(self, monkeypatch, raw):
+        # at most one decode attempt per "{", and the windows an attempt
+        # decodes at most double the characters the decoder reads
+        attempts, windows = [], []
+        decoder, object_at = parsing._DECODER, parsing._object_at
+
+        class Counting:
+            def raw_decode(self, window):
+                windows.append(len(window))
+                return decoder.raw_decode(window)
+
+        monkeypatch.setattr(parsing, "_DECODER", Counting())
+        monkeypatch.setattr(parsing, "_object_at",
+                            lambda raw, i: attempts.append(i) or object_at(raw, i))
+        parse_outcome(lambda: parse_action(raw, CFG))
+        assert len(attempts) <= raw.count("{")
+        assert sum(windows) <= 4 * len(raw) + 2 * parsing._FIRST_WINDOW * len(attempts)
+
+
 class TestMockBackends:
     def request_for(self, obs, cfg):
         return CompletionRequest(model="m", system="s",
@@ -339,6 +403,11 @@ class TestIclDecide:
             IclConfig(max_retries=-1)
         with pytest.raises(ValueError):
             IclConfig(top_k_examples=100, pool_capacity=10)
+
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_timeout_must_be_finite_and_positive(self, timeout):
+        with pytest.raises(ValueError, match="timeout_s"):
+            IclConfig(timeout_s=timeout)
 
 
 class TestIclPolicyEpisode:
@@ -485,3 +554,45 @@ class TestHttpBackend:
         backend = HttpBackend("http://127.0.0.1:9", timeout_s=0.5)
         with pytest.raises(BackendError):
             backend.complete(REQUEST)
+
+
+class _FixedBodySession:
+    """Stands in for requests.Session: every POST answers 200 with `body`."""
+
+    def __init__(self, body):
+        self.body = body
+
+    def post(self, url, json, headers, timeout):
+        body = self.body
+
+        class Response:
+            status_code = 200
+
+            def json(self):
+                return body
+
+        return Response()
+
+
+NON_STRING_CONTENT = {"null": None, "number": 7, "object": {"sensor": 1},
+                      "list": [{"type": "text", "text": '{"sensor": 1, "velocity": 0}'}]}
+
+
+class TestNonStringContent:
+    """A completion whose message content is not a string is a backend
+    error: retried, then the max-AoI fallback decides."""
+
+    @pytest.mark.parametrize("kind", list(NON_STRING_CONTENT))
+    def test_backend_error_then_fallback(self, kind):
+        body = {"choices": [{"message": {"content": NON_STRING_CONTENT[kind]}}]}
+        backend = HttpBackend("http://unused", session=_FixedBodySession(body))
+        with pytest.raises(BackendError, match="malformed completion body"):
+            backend.complete(REQUEST)
+        cfg = CFG.replace(n_steps=4)
+        policy = IclPolicy(cfg, IclConfig(backend="http", endpoint="http://unused"),
+                           backend=backend)
+        world = init_world(cfg, seed=1)
+        summary = run_episode(world, policy)
+        assert summary.n_steps == 4
+        assert len(policy.exchanges) == 4 * 3
+        assert all(e.parse_result == "backend-error" for e in policy.exchanges)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import struct
 import tracemalloc
@@ -16,7 +17,8 @@ from frsicl.ppo import (AdamState, Minibatch, PpoConfig, adam_update,
                         train, velocity_from_bin)
 from frsicl.ppo.io import MAGIC, ParamsFileError
 from frsicl.ppo.loss import ppo_loss
-from frsicl.ppo.net import PARAM_ORDER
+from frsicl.ppo.net import N_VELOCITY_BINS, PARAM_ORDER
+from frsicl.ppo.train import default_world_factory
 
 from oracles import central_difference_grad, per_array_adam
 
@@ -148,7 +150,7 @@ class TestSampleAction:
         lv = rng.normal(size=5)
         a_s, a_v, logp = sample_action(ls, lv, rng)
         expected = log_softmax(ls)[a_s] + log_softmax(lv)[a_v]
-        assert abs(logp - expected) < 1e-9
+        assert logp == expected
 
     # plain logits up to 1e3 in magnitude, and near-ties a few ulps or 1e-9 apart
     LOGITS = st.one_of(
@@ -453,3 +455,51 @@ class TestTrainEvaluate:
         lines = open(path).read().splitlines()
         assert lines[0] == "episode,mean_reward,mean_aoi"
         assert len(lines) == 1 + self.PPO.episodes
+
+
+# SHA-256 of the artefacts of train(WorldConfig(), PpoConfig(episodes=100),
+# seed=0), taken before link budgets were shared across episodes.
+TRAIN_PARAMS_SHA256 = "3b90d56d24288d567287c567947d6da3c3f0493b2dd68b754e75b66aad8ed346"
+TRAIN_CURVE_SHA256 = "0685b8b3f72e3d0f76b5c85acf4546c9399e705cb69dbf855428bebf7572dcae"
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestSharedLinkBudgets:
+    def test_default_training_is_pinned(self, tmp_path):
+        result = train(WorldConfig(), PpoConfig(episodes=100), seed=0,
+                       curve_path=str(tmp_path / "learning_curve.csv"))
+        save_params(result.params, str(tmp_path / "ppo_params.bin"))
+        assert sha256(tmp_path / "ppo_params.bin") == TRAIN_PARAMS_SHA256
+        assert sha256(tmp_path / "learning_curve.csv") == TRAIN_CURVE_SHA256
+
+    def test_one_link_budget_per_position(self, monkeypatch):
+        from frsicl import channel
+        calls = []
+        real = channel.link_budget
+        monkeypatch.setattr(channel, "link_budget",
+                            lambda *args: calls.append(args) or real(*args))
+        cfg = WorldConfig()
+        make_world = default_world_factory(cfg, 3)
+        worlds = []
+        train(cfg, PpoConfig(episodes=30), seed=3,
+              world_factory=lambda episode: worlds.append(make_world(episode)) or worlds[-1])
+        memo = worlds[0].link_memo
+        assert all(w.link_memo is memo for w in worlds)
+        assert memo.capacity == (N_VELOCITY_BINS - 1) * cfg.n_steps + 1
+        assert len(calls) == len(memo) <= memo.capacity
+        assert len({w.uav.pos for w in worlds}) > 1
+        for link in memo.values():
+            for a in link:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0.0
+
+    def test_worlds_of_one_factory_share_the_layout(self):
+        make_world = default_world_factory(WorldConfig(), 8)
+        first, second = make_world(0), make_world(1)
+        assert first.pos.tobytes() == second.pos.tobytes()
+        assert first.cfg == second.cfg
+        assert first.link_memo is second.link_memo
