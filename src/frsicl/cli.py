@@ -13,9 +13,10 @@ from typing import List, Optional
 
 from .config import ConfigError, WorldConfig, load_world_config
 from .env import init_world
-from .harness import (ExperimentSpec, ReplayDivergence, replay_steps_csv,
-                      run_experiment, sweep_sensors)
+from .harness import (POLICY_NAMES, ExperimentSpec, ReplayDivergence,
+                      replay_steps_csv, run_experiment, sweep_sensors)
 from .icl import IclConfig
+from .icl.backends import MOCK_STRATEGIES
 from .ppo import PpoConfig, evaluate, load_params, save_params, train
 
 EXIT_OK = 0
@@ -45,6 +46,14 @@ def _parse_seeds(text: str) -> List[int]:
     return _parse_list("--seed", text, int)
 
 
+def _single_seed(text: str) -> int:
+    """train-ppo and eval-ppo take one seed, not a list."""
+    seeds = _parse_seeds(text)
+    if len(seeds) > 1:
+        raise ConfigError(f"--seed takes one seed here, got {text!r}")
+    return seeds[0]
+
+
 def _config_from_args(args) -> WorldConfig:
     """The --config file, or the defaults when none is given."""
     return load_world_config(args.config) if args.config else WorldConfig()
@@ -71,8 +80,8 @@ def _icl_from_args(args, policy: str) -> IclConfig:
         if policy == "icl":
             raise ConfigError(
                 "icl policy needs a backend: pass --llm-endpoint URL for a "
-                "real endpoint or --mock-llm {max-aoi,nearest,invalid} to "
-                "run offline")
+                f"real endpoint or --mock-llm {{{','.join(MOCK_STRATEGIES)}}} "
+                "to run offline")
     return IclConfig(endpoint=args.llm_endpoint, model=args.llm_model,
                      backend=backend, timeout_s=args.llm_timeout)
 
@@ -83,9 +92,9 @@ def _add_common(parser):
                         help="replicate seed or comma-separated list")
     parser.add_argument("--out-dir", default="out", help="output directory")
     parser.add_argument("--llm-endpoint", help="OpenAI-compatible endpoint URL")
-    parser.add_argument("--llm-model", default="gpt-4o-mini")
-    parser.add_argument("--llm-timeout", type=float, default=10.0)
-    parser.add_argument("--mock-llm", choices=["max-aoi", "nearest", "invalid"],
+    parser.add_argument("--llm-model", default=IclConfig.model)
+    parser.add_argument("--llm-timeout", type=float, default=IclConfig.timeout_s)
+    parser.add_argument("--mock-llm", choices=MOCK_STRATEGIES,
                         help="offline LLM backend strategy")
 
 
@@ -97,8 +106,7 @@ def build_parser() -> _Parser:
 
     p_run = sub.add_parser("run", help="run one experiment")
     _add_common(p_run)
-    p_run.add_argument("--policy", required=True,
-                       choices=["icl", "ppo", "nearest", "roundrobin", "maxaoi"])
+    p_run.add_argument("--policy", required=True, choices=POLICY_NAMES)
     p_run.add_argument("--ppo-params", help="trained parameters file for --policy ppo")
 
     p_sweep = sub.add_parser("sweep", help="sensor-count sweep")
@@ -165,7 +173,7 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
 
         if args.command == "train-ppo":
             cfg = _config_from_args(args)
-            seed = _parse_seeds(args.seed)[0]
+            seed = _single_seed(args.seed)
             ppo_cfg = PpoConfig(episodes=args.episodes,
                                 steps_per_episode=cfg.n_steps)
             os.makedirs(args.out_dir, exist_ok=True)
@@ -179,7 +187,7 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
 
         if args.command == "eval-ppo":
             cfg = _config_from_args(args)
-            seed = _parse_seeds(args.seed)[0]
+            seed = _single_seed(args.seed)
             params = load_params(args.params)
             world = init_world(cfg, seed=seed)
             summary = evaluate(params, world, greedy=not args.stochastic,

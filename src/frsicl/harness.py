@@ -199,26 +199,60 @@ def _seed_from_run_id(run_id: str) -> int:
             f"run id {run_id!r} does not encode a seed ('<policy>-s<seed>')") from exc
 
 
+def _check_step_numbers(run_id: str, steps: Sequence[int], n_steps: int) -> None:
+    """A run logs steps 0..k-1 once each, with k within the horizon."""
+    for i, k in enumerate(sorted(steps)):
+        if k > i:
+            raise ReplayDivergence(f"{run_id} does not log step {i}")
+        if k < 0:
+            raise ReplayDivergence(f"{run_id} logs negative step {k}")
+        if k < i:
+            raise ReplayDivergence(f"{run_id} logs step {k} twice")
+    if len(steps) > n_steps:
+        raise ReplayDivergence(f"{run_id} logs {len(steps)} steps, past the "
+                               f"world's horizon of {n_steps}")
+
+
+def _read_steps_csv(path: str) -> Dict[str, List[Tuple[int, Action, dict]]]:
+    """run_id -> (step, action, row) of each row; a row without exactly the
+    header's fields, or a cell that does not parse, is named by its line."""
+    runs: Dict[str, List[Tuple[int, Action, dict]]] = {}
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        try:
+            if reader.fieldnames != STEPS_HEADER.split(","):
+                raise ReplayDivergence(f"{path}: unexpected header {reader.fieldnames}")
+            for row in reader:
+                where = f"{path} line {reader.line_num}"
+                if None in row or None in row.values():
+                    raise ReplayDivergence(f"{where}: expected the {len(reader.fieldnames)} "
+                                           f"fields {STEPS_HEADER}")
+                try:
+                    entry = (int(row["step"]), Action(
+                        sensor=int(row["selected_sensor"]),
+                        velocity_mps=float(row["velocity_mps"])), row)
+                except ValueError as exc:
+                    raise ReplayDivergence(f"{where}: {exc}") from exc
+                runs.setdefault(row["run_id"], []).append(entry)
+        except csv.Error as exc:
+            # the reader stopped inside the record after the last one it read
+            raise ReplayDivergence(f"{path} line {reader.line_num + 1}: {exc}") from exc
+    return runs
+
+
 def replay_steps_csv(path: str, cfg: WorldConfig) -> int:
     """Re-simulate each run from its logged action sequence and require the
     rendered avg_aoi_s (and success flag) to match exactly. Returns the
-    number of verified runs."""
-    runs: Dict[str, List[dict]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != STEPS_HEADER.split(","):
-            raise ReplayDivergence(f"{path}: unexpected header {reader.fieldnames}")
-        for row in reader:
-            runs.setdefault(row["run_id"], []).append(row)
+    number of verified runs. A malformed row, and a run whose steps are not
+    0..k-1 within the horizon, are named before the run is simulated."""
+    runs = _read_steps_csv(path)
     for run_id, rows in runs.items():
+        _check_step_numbers(run_id, [k for k, _, _ in rows], cfg.n_steps)
         world = init_world(cfg, seed=_seed_from_run_id(run_id))
-        rows.sort(key=lambda r: int(r["step"]))
-        for row in rows:
-            k = int(row["step"])
+        rows.sort(key=lambda r: r[0])
+        for k, action, row in rows:
             try:
-                rec = env_step(world, Action(
-                    sensor=int(row["selected_sensor"]),
-                    velocity_mps=float(row["velocity_mps"])))
+                rec = env_step(world, action)
             except ActionError as exc:
                 raise ReplayDivergence(
                     f"replay divergence at step {k} of {run_id}: {exc}") from exc

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
@@ -22,6 +21,11 @@ if TYPE_CHECKING:
 API_KEY_ENV = "FRSICL_API_KEY"
 
 MOCK_STRATEGIES = ("max-aoi", "nearest", "invalid")
+
+# Decoding settings of every HTTP request: greedy and short, since the
+# reply is one small JSON object.
+TEMPERATURE = 0.0
+MAX_TOKENS = 64
 
 _TABLE_ROW = re.compile(
     r"^(\d+) \| ([0-9.]+) \| (-?[0-9.]+) \| (yes|no)$", re.MULTILINE)
@@ -33,15 +37,6 @@ class BackendError(RuntimeError):
     """Any failed completion attempt: timeout, bad status, malformed body."""
 
 
-@dataclass
-class CompletionRequest:
-    model: str
-    system: str
-    user: str
-    temperature: float
-    max_tokens: int
-
-
 class HttpBackend:
     """POSTs to <endpoint>/v1/chat/completions with a bearer credential.
 
@@ -49,15 +44,16 @@ class HttpBackend:
     level, so that only a run that builds an HTTP backend loads it.
     """
 
-    def __init__(self, endpoint: str, timeout_s: float = 10.0,
+    def __init__(self, endpoint: str, model: str, timeout_s: float,
                  session: Optional[requests.Session] = None):
         import requests
 
         self.endpoint = endpoint.rstrip("/")
+        self.model = model
         self.timeout_s = timeout_s
         self.session = session or requests.Session()
 
-    def complete(self, request: CompletionRequest) -> str:
+    def complete(self, system: str, user: str) -> str:
         import requests
 
         url = f"{self.endpoint}/v1/chat/completions"
@@ -66,13 +62,13 @@ class HttpBackend:
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
         body = {
-            "model": request.model,
+            "model": self.model,
             "messages": [
-                {"role": "system", "content": request.system},
-                {"role": "user", "content": request.user},
+                {"role": "system", "content": system},
+                {"role": "user", "content": user},
             ],
-            "temperature": request.temperature,
-            "max_tokens": request.max_tokens,
+            "temperature": TEMPERATURE,
+            "max_tokens": MAX_TOKENS,
         }
         try:
             response = self.session.post(url, json=body, headers=headers,
@@ -118,10 +114,10 @@ class MockBackend:
                              f"choose one of {MOCK_STRATEGIES}")
         self.strategy = strategy
 
-    def complete(self, request: CompletionRequest) -> str:
+    def complete(self, system: str, user: str) -> str:
         if self.strategy == "invalid":
             return "I am sorry, I would rather discuss the weather today."
-        rows, v_max = _parse_step_prompt(request.user)
+        rows, v_max = _parse_step_prompt(user)
         if not rows:
             raise BackendError("mock backend found no sensor table in prompt")
         pool = [r for r in rows if r["eligible"]] or rows
@@ -132,13 +128,13 @@ class MockBackend:
         return json.dumps({"sensor": best["id"], "velocity": v_max})
 
 
-def make_backend(backend_spec: str, endpoint: Optional[str],
+def make_backend(backend_spec: str, endpoint: Optional[str], model: str,
                  timeout_s: float):
     """backend_spec is 'http' or 'mock:<strategy>'."""
     if backend_spec == "http":
         if not endpoint:
             raise ValueError("http backend requires an endpoint URL")
-        return HttpBackend(endpoint, timeout_s=timeout_s)
+        return HttpBackend(endpoint, model, timeout_s)
     if backend_spec.startswith("mock:"):
         return MockBackend(backend_spec.split(":", 1)[1])
     raise ValueError(f"unknown backend {backend_spec!r}")

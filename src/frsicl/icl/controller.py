@@ -15,29 +15,26 @@ from ..features import feature_vector
 from ..policies import max_aoi_decide
 from ..rng import RngStream
 from ..states import Action, Observation, StepRecord
-from .backends import BackendError, CompletionRequest, make_backend
+from .backends import BackendError, make_backend
 from .parsing import ParseError, parse_action
-from .pool import DEFAULT_CAPACITY, ExperiencePool, ExperienceRecord
+from .pool import ExperiencePool, ExperienceRecord
 from .prompts import build_step_prompt, build_system_prompt, corrective_line
+
+
+# Extra attempts after the first, before the greedy max-AoI fallback decides.
+MAX_RETRIES = 2
+# Pool records shown as examples in each step prompt.
+TOP_K_EXAMPLES = 4
 
 
 @dataclass
 class IclConfig:
     endpoint: Optional[str] = None
     model: str = "gpt-4o-mini"
-    temperature: float = 0.0
-    max_retries: int = 2
     timeout_s: float = 10.0
-    top_k_examples: int = 4
     backend: str = "mock:max-aoi"  # "http" | "mock:max-aoi" | "mock:nearest" | "mock:invalid"
-    pool_capacity: int = DEFAULT_CAPACITY
-    max_tokens: int = 64
 
     def __post_init__(self):
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.top_k_examples > self.pool_capacity:
-            raise ValueError("top_k_examples must not exceed pool capacity")
         # also False for NaN
         if not 0.0 < self.timeout_s < float("inf"):
             raise ValueError(f"timeout_s must be finite and positive, got {self.timeout_s!r}")
@@ -65,56 +62,41 @@ class LlmExchange:
         })
 
 
-def icl_decide(obs: Observation, pool: ExperiencePool, backend,
-               world_cfg: WorldConfig, icl_cfg: IclConfig,
-               exchange_log: List[LlmExchange], step_index: int,
-               system_prompt: Optional[str] = None,
-               features: Optional[np.ndarray] = None) -> Action:
+def icl_decide(obs: Observation, features: np.ndarray, pool: ExperiencePool,
+               backend, world_cfg: WorldConfig, system_prompt: str,
+               exchange_log: List[LlmExchange], step_index: int) -> Action:
     """Total decision function: never raises, always returns a valid Action.
 
-    Each parse failure appends a corrective line quoting the output grammar
-    and retries; backend errors count as failed attempts too. After
-    max_retries extra attempts the greedy max-AoI fallback decides.
-    `features` is feature_vector(obs, world_cfg), computed here if not given.
+    `features` is feature_vector(obs, world_cfg). Each attempt, whatever
+    its outcome, appends one LlmExchange to `exchange_log`. A parse failure
+    or a backend error appends a corrective line quoting the output grammar
+    and retries; after MAX_RETRIES extra attempts the greedy max-AoI
+    fallback decides.
     """
-    if system_prompt is None:
-        system_prompt = build_system_prompt(world_cfg)
-    if features is None:
-        features = feature_vector(obs, world_cfg)
-    examples = pool.retrieve(features, icl_cfg.top_k_examples)
+    examples = pool.retrieve(features, TOP_K_EXAMPLES)
     user = build_step_prompt(obs, examples, world_cfg)
 
-    for attempt in range(icl_cfg.max_retries + 1):
-        request = CompletionRequest(
-            model=icl_cfg.model, system=system_prompt, user=user,
-            temperature=icl_cfg.temperature, max_tokens=icl_cfg.max_tokens)
+    for attempt in range(MAX_RETRIES + 1):
         started = time.perf_counter()
         try:
-            raw = backend.complete(request)
+            raw = backend.complete(system_prompt, user)
+            result = None
         except BackendError as exc:
-            latency = (time.perf_counter() - started) * 1000.0
-            exchange_log.append(LlmExchange(
-                step=step_index, attempt=attempt,
-                request_chars=len(system_prompt) + len(user),
-                raw_response=f"<backend error: {exc}>",
-                parse_result="backend-error", latency_ms=latency))
-            user = user + "\n" + corrective_line(world_cfg, "backend-error")
-            continue
-        latency = (time.perf_counter() - started) * 1000.0
-        try:
-            action = parse_action(raw, world_cfg)
-        except ParseError as exc:
-            exchange_log.append(LlmExchange(
-                step=step_index, attempt=attempt,
-                request_chars=len(system_prompt) + len(user),
-                raw_response=raw, parse_result=exc.tag, latency_ms=latency))
-            user = user + "\n" + corrective_line(world_cfg, exc.tag)
-            continue
+            raw, result = f"<backend error: {exc}>", "backend-error"
+        latency_ms = (time.perf_counter() - started) * 1000.0
+        if result is None:
+            try:
+                action = parse_action(raw, world_cfg)
+                result = "ok"
+            except ParseError as exc:
+                result = exc.tag
         exchange_log.append(LlmExchange(
             step=step_index, attempt=attempt,
             request_chars=len(system_prompt) + len(user),
-            raw_response=raw, parse_result="ok", latency_ms=latency))
-        return action
+            raw_response=raw, parse_result=result, latency_ms=latency_ms))
+        if result == "ok":
+            return action
+        user = user + "\n" + corrective_line(world_cfg, result)
 
     return max_aoi_decide(obs, world_cfg.v_max_mps)
 
@@ -122,13 +104,11 @@ def icl_decide(obs: Observation, pool: ExperiencePool, backend,
 class IclPolicy:
     """Policy-protocol wrapper around icl_decide with per-step feedback."""
 
-    def __init__(self, world_cfg: WorldConfig, icl_cfg: IclConfig,
-                 backend=None, pool: Optional[ExperiencePool] = None):
+    def __init__(self, world_cfg: WorldConfig, icl_cfg: IclConfig, backend=None):
         self.world_cfg = world_cfg
-        self.icl_cfg = icl_cfg
         self.backend = backend if backend is not None else make_backend(
-            icl_cfg.backend, icl_cfg.endpoint, icl_cfg.timeout_s)
-        self.pool = pool if pool is not None else ExperiencePool(icl_cfg.pool_capacity)
+            icl_cfg.backend, icl_cfg.endpoint, icl_cfg.model, icl_cfg.timeout_s)
+        self.pool = ExperiencePool()
         self.exchanges: List[LlmExchange] = []
         self.system_prompt = build_system_prompt(world_cfg)
         self._step_index = 0
@@ -136,10 +116,9 @@ class IclPolicy:
 
     def decide(self, obs: Observation, rng: RngStream) -> Action:
         self._features = feature_vector(obs, self.world_cfg)
-        return icl_decide(obs, self.pool, self.backend, self.world_cfg,
-                          self.icl_cfg, self.exchanges, self._step_index,
-                          system_prompt=self.system_prompt,
-                          features=self._features)
+        return icl_decide(obs, self._features, self.pool, self.backend,
+                          self.world_cfg, self.system_prompt, self.exchanges,
+                          self._step_index)
 
     def feedback(self, obs: Observation, record: StepRecord) -> None:
         """Store the frame just decided: the features decide computed for

@@ -111,10 +111,8 @@ def _collect_episode(params: MlpParams, world: World, cfg: WorldConfig,
         logps.append(logp)
         values.append(float(value[0]))
         rewards.append(-record.avg_aoi_s)
-    dones = np.zeros(n)
-    dones[-1] = 1.0
     return (np.array(feats), np.array(a_s_list), np.array(a_v_list),
-            np.array(logps), np.array(values), np.array(rewards), dones)
+            np.array(logps), np.array(values), np.array(rewards))
 
 
 def train(cfg: WorldConfig, ppo_cfg: PpoConfig, seed: int,
@@ -134,10 +132,10 @@ def train(cfg: WorldConfig, ppo_cfg: PpoConfig, seed: int,
 
     for episode in range(ppo_cfg.episodes):
         world = world_factory(episode)
-        feats, a_s, a_v, logps, values, rewards, dones = _collect_episode(
+        feats, a_s, a_v, logps, values, rewards = _collect_episode(
             params, world, cfg, ppo_cfg, act_rng)
-        adv, rets = gae_advantages(rewards, values, dones,
-                                   ppo_cfg.gamma, ppo_cfg.gae_lambda)
+        adv, rets = gae_advantages(rewards, values, ppo_cfg.gamma,
+                                   ppo_cfg.gae_lambda)
         adv = normalize_advantages(adv)
         n = len(rewards)
         for _ in range(ppo_cfg.epochs_per_update):

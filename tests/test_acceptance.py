@@ -14,7 +14,8 @@ import pytest
 from frsicl.channel import elevation_angle, los_probability, path_loss_db, slant_distance
 from frsicl.config import WorldConfig
 from frsicl.env import init_world, run_episode, step
-from frsicl.icl import IclConfig, IclPolicy, ParseError, parse_action
+from frsicl.icl import (MAX_RETRIES, IclConfig, IclPolicy, ParseError,
+                        parse_action)
 from frsicl.policies import NearestNeighborPolicy, RoundRobinPolicy, max_aoi_decide
 from frsicl.ppo import PpoConfig, Minibatch, forward, init_params, log_softmax, train
 from frsicl.ppo.loss import ppo_loss, ppo_loss_and_grads
@@ -194,7 +195,7 @@ def test_7_robustness_fuzz_and_fallback():
             policy = IclPolicy(cfg, IclConfig(backend="mock:invalid"))
             run_episode(world, policy)
             # every step exhausted its attempts, then the fallback decided
-            attempts = policy.icl_cfg.max_retries + 1
+            attempts = MAX_RETRIES + 1
             assert len(policy.exchanges) == cfg.n_steps * attempts
             assert all(e.parse_result != "ok" for e in policy.exchanges)
             for rec in world.log:

@@ -369,6 +369,74 @@ class TestCli:
         assert len(read_csv(out / "sweep.csv")) == 5
 
 
+class TestReplayCli:
+    """A steps.csv whose rows or step numbers are malformed exits 1 with a
+    message that names the fault, not a traceback or an AoI divergence."""
+
+    @staticmethod
+    def replay_edited(tmp_path, capsys, edit):
+        run_experiment(spec_for(tmp_path, seeds=(0,)))
+        path = tmp_path / "out" / "steps.csv"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(edit(lines)) + "\n")
+        assert cli_main(["replay", "--steps-csv", str(path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return err
+
+    def test_short_row(self, tmp_path, capsys):
+        err = self.replay_edited(tmp_path, capsys,
+                                 lambda lines: lines + ["maxaoi-s0,2,3"])
+        assert "line 32: expected the 6 fields" in err
+
+    def test_row_past_the_horizon(self, tmp_path, capsys):
+        # step 30 of a 30-step run
+        err = self.replay_edited(
+            tmp_path, capsys, lambda lines: lines + [lines[-1].replace(",29,", ",30,")])
+        assert "maxaoi-s0 logs 31 steps, past the world's horizon of 30" in err
+
+    def test_gap_in_step_numbers(self, tmp_path, capsys):
+        err = self.replay_edited(tmp_path, capsys,
+                                 lambda lines: lines[:4] + lines[5:])  # drops step 3
+        assert "maxaoi-s0 does not log step 3" in err
+
+    def test_duplicate_step(self, tmp_path, capsys):
+        err = self.replay_edited(tmp_path, capsys,
+                                 lambda lines: lines[:3] + lines[2:])  # step 1 twice
+        assert "maxaoi-s0 logs step 1 twice" in err
+
+    def test_cell_that_does_not_parse(self, tmp_path, capsys):
+        err = self.replay_edited(
+            tmp_path, capsys, lambda lines: lines[:2] + [lines[2].replace(",1,", ",one,", 1)] + lines[3:])
+        assert "line 3: invalid literal for int()" in err
+
+    def test_field_past_the_csv_limit(self, tmp_path, capsys):
+        err = self.replay_edited(
+            tmp_path, capsys, lambda lines: lines + ["maxaoi-s0," + "9" * 200_000])
+        assert "line 32: field larger than field limit" in err
+
+
+class TestOneSeedCommands:
+    """train-ppo and eval-ppo use one seed: a list is rejected, not cut to
+    its first entry."""
+
+    def test_train_ppo_rejects_a_seed_list(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli_main(["train-ppo", "--seed", "1,2", "--episodes", "1",
+                         "--out-dir", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "--seed takes one seed here, got '1,2'" in err
+        assert not out.exists()
+
+    def test_eval_ppo_rejects_a_seed_list(self, tmp_path, capsys):
+        params = _saved_params(tmp_path, 10, 24)
+        assert cli_main(["eval-ppo", "--seed", "3,4", "--params", params]) == \
+            EXIT_VALIDATION
+        assert "--seed takes one seed here, got '3,4'" in capsys.readouterr().err
+        assert cli_main(["eval-ppo", "--seed", "3", "--params", params]) == EXIT_OK
+        assert "ppo-s3" in capsys.readouterr().out
+
+
 def _params_file(tmp_path, header, payload):
     path = tmp_path / "params.bin"
     path.write_bytes(b"FRSPPO1" + header + payload)

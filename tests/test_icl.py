@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 
 from frsicl.config import WorldConfig
 from frsicl.env import init_world, observe, run_episode
-from frsicl.icl import (BackendError, CompletionRequest, ExperiencePool,
-                        ExperienceRecord, HttpBackend, IclConfig, IclPolicy,
-                        MockBackend, ParseError, build_step_prompt,
-                        build_system_prompt, icl_decide, make_backend,
-                        parse_action)
+from frsicl.features import feature_vector
+from frsicl.icl import (MAX_RETRIES, TOP_K_EXAMPLES, BackendError,
+                        ExperiencePool, ExperienceRecord, HttpBackend,
+                        IclConfig, IclPolicy, MockBackend, ParseError,
+                        build_step_prompt, build_system_prompt, icl_decide,
+                        make_backend, parse_action)
 from frsicl.icl import parsing
 from frsicl.icl.backends import _parse_step_prompt
 from frsicl.icl.parsing import (MISSING_FIELD, NO_OBJECT, NON_FINITE,
@@ -322,10 +323,9 @@ class TestLinearParse:
 
 
 class TestMockBackends:
-    def request_for(self, obs, cfg):
-        return CompletionRequest(model="m", system="s",
-                                 user=build_step_prompt(obs, [], cfg),
-                                 temperature=0.0, max_tokens=64)
+    @staticmethod
+    def complete(backend, obs, cfg):
+        return backend.complete("s", build_step_prompt(obs, [], cfg))
 
     def test_max_aoi_mock_matches_greedy_baseline(self):
         cfg = CFG.replace(n_sensors=6)
@@ -334,7 +334,7 @@ class TestMockBackends:
         for _ in range(20):
             obs = make_obs(list(rng.integers(0, 40, 6).astype(float)),
                            eligible=list(rng.random(6) > 0.3))
-            action = parse_action(backend.complete(self.request_for(obs, cfg)), cfg)
+            action = parse_action(self.complete(backend, obs, cfg), cfg)
             assert action.sensor == max_aoi_decide(obs, cfg.v_max_mps).sensor
 
     def test_nearest_mock_matches_nearest_baseline(self):
@@ -345,12 +345,12 @@ class TestMockBackends:
             # path loss strictly increasing in distance: same argmin
             losses = [round(x, 1) for x in rng.uniform(70, 110, 5)]
             obs = make_obs([1.0] * 5, path_losses=losses)
-            action = parse_action(backend.complete(self.request_for(obs, cfg)), cfg)
+            action = parse_action(self.complete(backend, obs, cfg), cfg)
             assert action.sensor == nearest_neighbor_decide(obs, cfg.v_max_mps).sensor
 
     def test_invalid_mock_never_parses(self):
         backend = MockBackend("invalid")
-        raw = backend.complete(self.request_for(make_obs([1.0] * 10), CFG))
+        raw = self.complete(backend, make_obs([1.0] * 10), CFG)
         with pytest.raises(ParseError):
             parse_action(raw, CFG)
 
@@ -359,12 +359,19 @@ class TestMockBackends:
             MockBackend("wizard")
 
     def test_make_backend_specs(self):
-        assert isinstance(make_backend("mock:nearest", None, 1.0), MockBackend)
-        assert isinstance(make_backend("http", "http://x", 1.0), HttpBackend)
+        assert isinstance(make_backend("mock:nearest", None, "m", 1.0), MockBackend)
+        http = make_backend("http", "http://x", "m", 1.0)
+        assert isinstance(http, HttpBackend) and http.model == "m"
         with pytest.raises(ValueError):
-            make_backend("http", None, 1.0)
+            make_backend("http", None, "m", 1.0)
         with pytest.raises(ValueError):
-            make_backend("carrier-pigeon", None, 1.0)
+            make_backend("carrier-pigeon", None, "m", 1.0)
+
+
+def decide(obs, backend, cfg, log, step_index=0):
+    """icl_decide on an empty pool with cfg's own features and system prompt."""
+    return icl_decide(obs, feature_vector(obs, cfg), ExperiencePool(8), backend,
+                      cfg, build_system_prompt(cfg), log, step_index)
 
 
 class TestIclDecide:
@@ -372,37 +379,47 @@ class TestIclDecide:
         cfg = CFG.replace(n_sensors=4)
         log = []
         obs = make_obs([5, 9, 2, 9])
-        action = icl_decide(obs, ExperiencePool(8), MockBackend("max-aoi"),
-                            cfg, IclConfig(), log, step_index=0)
+        action = decide(obs, MockBackend("max-aoi"), cfg, log)
         assert action.sensor == 2  # highest AoI, lowest id on the tie
         assert len(log) == 1 and log[0].parse_result == "ok"
 
     def test_invalid_backend_falls_back_after_retries(self):
         cfg = CFG.replace(n_sensors=4)
-        icl_cfg = IclConfig(max_retries=2)
         log = []
         obs = make_obs([5, 9, 2, 3])
-        action = icl_decide(obs, ExperiencePool(8), MockBackend("invalid"),
-                            cfg, icl_cfg, log, step_index=3)
+        action = decide(obs, MockBackend("invalid"), cfg, log, step_index=3)
         assert action == max_aoi_decide(obs, cfg.v_max_mps)
-        assert len(log) == icl_cfg.max_retries + 1
+        assert len(log) == MAX_RETRIES + 1
         assert all(e.parse_result == NO_OBJECT for e in log)
         assert all(e.step == 3 for e in log)
 
     def test_deterministic_at_zero_temperature(self):
         cfg = CFG.replace(n_sensors=4)
         obs = make_obs([5, 9, 2, 3])
-        a = icl_decide(obs, ExperiencePool(8), MockBackend("max-aoi"),
-                       cfg, IclConfig(), [], step_index=0)
-        b = icl_decide(obs, ExperiencePool(8), MockBackend("max-aoi"),
-                       cfg, IclConfig(), [], step_index=0)
+        a = decide(obs, MockBackend("max-aoi"), cfg, [])
+        b = decide(obs, MockBackend("max-aoi"), cfg, [])
         assert a == b
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            IclConfig(max_retries=-1)
-        with pytest.raises(ValueError):
-            IclConfig(top_k_examples=100, pool_capacity=10)
+    def test_every_attempt_logged_once(self):
+        # a backend error, then a parse failure, then an action
+        cfg = CFG.replace(n_sensors=4)
+        replies = iter([None, "no json here", '{"sensor": 3, "velocity": 7.5}'])
+
+        class Scripted:
+            def complete(self, system, user):
+                reply = next(replies)
+                if reply is None:
+                    raise BackendError("refused")
+                return reply
+
+        log = []
+        action = decide(make_obs([5, 9, 2, 3]), Scripted(), cfg, log, step_index=7)
+        assert action == Action(sensor=3, velocity_mps=7.5)
+        assert [(e.attempt, e.parse_result) for e in log] == \
+            [(0, "backend-error"), (1, NO_OBJECT), (2, "ok")]
+        assert log[0].raw_response == "<backend error: refused>"
+        assert all(e.step == 7 for e in log)
+        assert log[0].request_chars < log[1].request_chars < log[2].request_chars
 
     @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), 0.0, -1.0])
     def test_timeout_must_be_finite_and_positive(self, timeout):
@@ -444,9 +461,9 @@ class TestIclPolicyEpisode:
         inner = policy.backend
 
         class Spy:
-            def complete(self, request):
-                captured.append(request.user)
-                return inner.complete(request)
+            def complete(self, system, user):
+                captured.append(user)
+                return inner.complete(system, user)
 
         policy.backend = Spy()
         run_episode(init_world(CFG, seed=seed), policy)
@@ -456,7 +473,7 @@ class TestIclPolicyEpisode:
         captured = self.step_prompts(seed=3)
         assert "example 1:" not in captured[0]
         assert "example 1:" in captured[-1]
-        assert captured[-1].count("example ") == IclConfig().top_k_examples
+        assert captured[-1].count("example ") == TOP_K_EXAMPLES
 
     def test_example_line_shows_mean_aoi_in_seconds(self):
         # avg_aoi_before is the mean AoI the observation showed, in the
@@ -511,49 +528,50 @@ def stub_server():
     thread.join(timeout=5)
 
 
-REQUEST = CompletionRequest(model="test-model", system="sys", user="usr",
-                            temperature=0.0, max_tokens=64)
+def http_backend(endpoint, timeout_s=10.0, session=None):
+    return HttpBackend(endpoint, "test-model", timeout_s, session=session)
 
 
 class TestHttpBackend:
     def test_success_extracts_content(self, stub_server):
         _StubHandler.behavior = "ok"
-        raw = HttpBackend(stub_server).complete(REQUEST)
+        raw = http_backend(stub_server).complete("sys", "usr")
         assert raw == '{"sensor": 4, "velocity": 11.25}'
         sent = _StubHandler.seen[0]
         assert sent["path"] == "/v1/chat/completions"
         assert sent["body"]["model"] == "test-model"
         assert sent["body"]["messages"][0]["role"] == "system"
         assert sent["body"]["temperature"] == 0.0
+        assert sent["body"]["max_tokens"] == 64
 
     def test_bearer_header_from_env(self, stub_server, monkeypatch):
         _StubHandler.behavior = "ok"
         monkeypatch.setenv("FRSICL_API_KEY", "sk-test-123")
-        HttpBackend(stub_server).complete(REQUEST)
+        http_backend(stub_server).complete("sys", "usr")
         assert _StubHandler.seen[0]["auth"] == "Bearer sk-test-123"
 
     def test_non_2xx_raises(self, stub_server):
         _StubHandler.behavior = "error"
         with pytest.raises(BackendError, match="status 500"):
-            HttpBackend(stub_server).complete(REQUEST)
+            http_backend(stub_server).complete("sys", "usr")
 
     def test_malformed_body_raises(self, stub_server):
         _StubHandler.behavior = "malformed"
         with pytest.raises(BackendError, match="malformed"):
-            HttpBackend(stub_server).complete(REQUEST)
+            http_backend(stub_server).complete("sys", "usr")
 
     def test_timeout_enforced(self, stub_server):
         _StubHandler.behavior = "slow"
-        backend = HttpBackend(stub_server, timeout_s=0.2)
+        backend = http_backend(stub_server, timeout_s=0.2)
         started = time.perf_counter()
         with pytest.raises(BackendError, match="timeout|transport"):
-            backend.complete(REQUEST)
+            backend.complete("sys", "usr")
         assert time.perf_counter() - started < 0.8
 
     def test_unreachable_endpoint_raises(self):
-        backend = HttpBackend("http://127.0.0.1:9", timeout_s=0.5)
+        backend = http_backend("http://127.0.0.1:9", timeout_s=0.5)
         with pytest.raises(BackendError):
-            backend.complete(REQUEST)
+            backend.complete("sys", "usr")
 
 
 class _FixedBodySession:
@@ -585,9 +603,9 @@ class TestNonStringContent:
     @pytest.mark.parametrize("kind", list(NON_STRING_CONTENT))
     def test_backend_error_then_fallback(self, kind):
         body = {"choices": [{"message": {"content": NON_STRING_CONTENT[kind]}}]}
-        backend = HttpBackend("http://unused", session=_FixedBodySession(body))
+        backend = http_backend("http://unused", session=_FixedBodySession(body))
         with pytest.raises(BackendError, match="malformed completion body"):
-            backend.complete(REQUEST)
+            backend.complete("sys", "usr")
         cfg = CFG.replace(n_steps=4)
         policy = IclPolicy(cfg, IclConfig(backend="http", endpoint="http://unused"),
                            backend=backend)

@@ -189,20 +189,18 @@ class TestSampleAction:
 class TestGae:
     def test_undiscounted_suffix_sums(self):
         r = np.array([1.0, 2.0, 3.0])
-        dones = np.array([0.0, 0.0, 1.0])
-        adv, _ = gae_advantages(r, np.zeros(3), dones, 1.0, 1.0)
+        adv, _ = gae_advantages(r, np.zeros(3), 1.0, 1.0)
         assert adv == pytest.approx([6.0, 5.0, 3.0])
 
     def test_single_terminal_step(self):
-        adv, ret = gae_advantages([2.0], [0.5], [1.0], 0.9, 0.8)
+        adv, ret = gae_advantages([2.0], [0.5], 0.9, 0.8)
         assert adv[0] == pytest.approx(1.5)
         assert ret[0] == pytest.approx(2.0)
 
     def test_hand_computed_three_steps(self):
         # independent evaluation of the recursion: r=[1,1,1], V=0.5,
         # gamma=0.9, lambda=0.8, terminal at the end
-        adv, ret = gae_advantages([1.0, 1.0, 1.0], [0.5] * 3,
-                                  [0.0, 0.0, 1.0], 0.9, 0.8)
+        adv, ret = gae_advantages([1.0, 1.0, 1.0], [0.5] * 3, 0.9, 0.8)
         assert adv == pytest.approx([1.8932, 1.31, 0.5])
         assert ret == pytest.approx([2.3932, 1.81, 1.0])
 
