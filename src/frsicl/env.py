@@ -29,13 +29,28 @@ class ActionError(ValueError):
 Link = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-class LinkMemo(dict):
-    """uav.pos -> (distance, path loss, SNR), shared by worlds with one `pos`
-    and one `cfg`. It takes no new position once it holds `capacity`."""
+# One link-budget call covers at most this many (position, sensor) pairs:
+# 32 KiB per result array, and no lookahead from 2 049 sensors up.
+MAX_BATCH_LINKS = 4096
 
-    def __init__(self, capacity: int):
+
+class LinkMemo(dict):
+    """uav.pos -> read-only (distance, path loss, SNR) arrays, for worlds
+    with one `pos` and one `cfg`. A batch that would take it past
+    `capacity` positions empties it first: capacity 0 keeps only the
+    newest batch."""
+
+    def __init__(self, capacity: int = 0):
         super().__init__()
         self.capacity = capacity
+
+    def put(self, positions: List[Tuple[float, float, float]], link: Link) -> None:
+        """Store row i of each (K, N) array of `link` under positions[i]."""
+        if len(self) + len(positions) > self.capacity:
+            self.clear()
+        for a in link:
+            a.flags.writeable = False
+        self.update(zip(positions, zip(*link)))
 
 
 class SensorView(NamedTuple):
@@ -45,6 +60,10 @@ class SensorView(NamedTuple):
 
 @dataclass
 class World:
+    """One episode's state. observe and attempt_collection read the link
+    budgets at uav.pos from link_memo; a miss computes them together with
+    the positions ahead (_fill_links)."""
+
     cfg: WorldConfig
     t_s: float
     uav: UavState
@@ -55,15 +74,10 @@ class World:
     env_rng: RngStream
     policy_rng: RngStream
     log: List[StepRecord] = field(default_factory=list)
-    # (distance, path loss, SNR) arrays at uav.pos: filled on first use by
-    # _link_at_uav, cleared by advance_uav. The post-move position of frame k
-    # is the pre-move position of frame k + 1, so one link budget per frame
-    # serves both attempt_collection and the next observe. Code that moves a
-    # sensor or sets uav.pos directly must reset it to None.
-    link: Optional[Link] = field(default=None, repr=False)
-    # Link budgets by UAV position, kept across worlds with this pos and cfg;
-    # its arrays are read-only. A world that moves a sensor must not use one.
-    link_memo: Optional[LinkMemo] = field(default=None, repr=False)
+    # private to this world unless worlds with one pos and cfg share it (see
+    # fresh_episode). Code that moves a sensor must clear it, and must not
+    # move one of a world that shares it.
+    link_memo: LinkMemo = field(default_factory=LinkMemo, repr=False)
 
     @property
     def sensors(self) -> Tuple[SensorView, ...]:
@@ -79,18 +93,31 @@ def _orbit_pos(cfg: WorldConfig, arc_s: float):
             cfg.altitude_m)
 
 
+def _episode_start(cfg: WorldConfig, pos: np.ndarray, env_rng: RngStream,
+                   policy_rng: RngStream, link_memo: LinkMemo) -> World:
+    n = cfg.n_sensors
+    return World(cfg=cfg, t_s=0.0, uav=UavState(pos=_orbit_pos(cfg, 0.0)), pos=pos,
+                 aoi_s=np.zeros(n), battery_j=np.full(n, cfg.battery_j, dtype=np.float64),
+                 env_rng=env_rng, policy_rng=policy_rng, link_memo=link_memo)
+
+
 def init_world(cfg: WorldConfig, seed: Optional[int] = None) -> World:
     """Fresh world: sensors i.i.d. uniform on the area, UAV at orbit angle 0."""
     validate_config(cfg)
     if seed is None:
         seed = cfg.seed
     rng = RngStream(seed)
-    n = cfg.n_sensors
-    pos = rng.substream("layout").uniform(0.0, cfg.area_size_m, size=(n, 2))
-    uav = UavState(pos=_orbit_pos(cfg, 0.0))
-    return World(cfg=cfg, t_s=0.0, uav=uav, pos=pos, aoi_s=np.zeros(n),
-                 battery_j=np.full(n, cfg.battery_j, dtype=np.float64),
-                 env_rng=rng.substream("env"), policy_rng=rng.substream("policy"))
+    pos = rng.substream("layout").uniform(0.0, cfg.area_size_m, size=(cfg.n_sensors, 2))
+    return _episode_start(cfg, pos, rng.substream("env"), rng.substream("policy"),
+                          LinkMemo())
+
+
+def fresh_episode(world: World) -> World:
+    """A new episode of world's deployment, as init_world would start it:
+    the same cfg, and the same `pos` array and link memo, shared; RNG
+    streams that draw what world's streams would draw next."""
+    return _episode_start(world.cfg, world.pos, world.env_rng.clone(),
+                          world.policy_rng.clone(), world.link_memo)
 
 
 def advance_uav(world: World, velocity: float) -> None:
@@ -98,23 +125,37 @@ def advance_uav(world: World, velocity: float) -> None:
     uav = world.uav
     uav.arc_s += velocity * world.cfg.dt_s
     uav.pos = _orbit_pos(world.cfg, uav.arc_s)
-    world.link = None
+    uav.run = uav.run + 1 if velocity == uav.velocity_mps else 1
+    uav.velocity_mps = velocity
+    uav.moves += 1
 
 
 def _link_at_uav(world: World) -> Link:
     """(distance, path loss, SNR) to every sensor from the UAV's position."""
-    if world.link is None:
-        memo, pos = world.link_memo, world.uav.pos
-        link = None if memo is None else memo.get(pos)
-        if link is None:
-            link = channel.link_budget(pos, world.pos, world.cfg)
-            if memo is not None:
-                for a in link:
-                    a.flags.writeable = False
-                if len(memo) < memo.capacity:
-                    memo[pos] = link
-        world.link = link
-    return world.link
+    link = world.link_memo.get(world.uav.pos)
+    return _fill_links(world) if link is None else link
+
+
+def _fill_links(world: World) -> Link:
+    """One link-budget call for the UAV's position and the positions that
+    the velocity just flown reaches next, stored in world.link_memo.
+
+    It looks as many frames ahead as the UAV has flown at that velocity, so
+    a policy that changes speed wastes at most the positions it used; no
+    further than the horizon, nor past MAX_BATCH_LINKS per call. The
+    positions come from the additions advance_uav makes, so a frame that
+    keeps the velocity finds its position under the same key.
+    """
+    cfg, uav = world.cfg, world.uav
+    ahead = min(uav.run, cfg.n_steps - uav.moves, MAX_BATCH_LINKS // cfg.n_sensors - 1)
+    positions = [uav.pos]
+    arc, stride = uav.arc_s, uav.velocity_mps * cfg.dt_s
+    for _ in range(ahead):
+        arc += stride
+        positions.append(_orbit_pos(cfg, arc))
+    link = channel.link_budget(np.array(positions), world.pos, cfg)
+    world.link_memo.put(positions, link)
+    return link[0][0], link[1][0], link[2][0]
 
 
 def attempt_collection(world: World, sensor_id: int) -> bool:

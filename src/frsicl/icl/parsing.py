@@ -35,37 +35,54 @@ _FIRST_WINDOW = 64
 _LOOKAHEAD = 16
 
 
-def _object_at(raw: str, i: int):
-    """The JSON object that decodes from raw[i], or None.
+# Characters the decode attempts of one reply may read: linear in the
+# reply, where each "{" of a deeply nested reply would otherwise cost up to
+# the recursion limit. A reply that needs more finds no object.
+_BUDGET_PER_CHAR = 16
+_BUDGET_BASE = 1 << 16
+
+
+def _object_at(raw: str, i: int, budget: int):
+    """(the JSON object that decodes from raw[i] or None, the characters
+    decoded); None as well once the windows would pass `budget`.
 
     A JSONDecodeError counts the lines before its position, which costs
     O(i) on raw itself; so raw[i:i + w] is decoded instead, w doubling
     while the failure may be due to the cut, and a failure costs about
     the characters the decoder read.
     """
-    w = _FIRST_WINDOW
+    w, spent = _FIRST_WINDOW, 0
     while True:
+        window = raw[i:i + w]
+        spent += len(window)
+        if spent > budget:
+            return None, spent
         try:
-            return _DECODER.raw_decode(raw[i:i + w])[0]
+            return _DECODER.raw_decode(window)[0], spent
         except RecursionError:
-            return None
+            return None, spent
         # ValueError also covers integer literals over Python's digit limit
         except ValueError as exc:
             pos = getattr(exc, "pos", None)
             cut = (i + w < len(raw) and pos is not None
                    and (pos > w - _LOOKAHEAD or exc.msg.startswith("Unterminated string")))
             if not cut:
-                return None
+                return None, spent
         w *= 2
 
 
 def _first_object(raw: str):
     """The first JSON object that decodes from a "{" in raw, left to right,
-    or None: one decode attempt per "{" that can open an object."""
+    or None: one decode attempt per "{" that can open an object, within
+    the reply's budget of decoded characters."""
+    budget = _BUDGET_PER_CHAR * len(raw) + _BUDGET_BASE
     for start in _OBJECT_START.finditer(raw):
-        obj = _object_at(raw, start.start())
+        obj, spent = _object_at(raw, start.start(), budget)
         if obj is not None:
             return obj
+        budget -= spent
+        if budget < 0:
+            return None
     return None
 
 

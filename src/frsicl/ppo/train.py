@@ -10,8 +10,8 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from ..config import ConfigError, WorldConfig
-from ..env import (LinkMemo, World, init_world, observe, run_episode,
-                   step as env_step)
+from ..env import (LinkMemo, World, fresh_episode, init_world, observe,
+                   run_episode, step as env_step)
 from ..features import feature_dim, feature_vector
 from ..rng import RngStream
 from ..states import Action, RunSummary
@@ -75,21 +75,23 @@ class TrainResult:
 
 def default_world_factory(cfg: WorldConfig, seed: int) -> Callable[[int], World]:
     """Fresh episodes of the same fixed deployment: the sensor layout is a
-    function of the seed alone, matching training on one field.
+    function of the seed alone, matching training on one field. The config
+    is checked, and the layout and RNG streams drawn, once: each episode is
+    a fresh_episode of one world from init_world, with its read-only layout.
 
     The worlds share one LinkMemo of capacity (N_VELOCITY_BINS - 1) *
     n_steps + 1. That is every orbit position an episode can reach when
     v_min_mps is 0 and the sums of v * dt_s are exact, as at the defaults
     (multiples of v_max / 4 times 1 s). Otherwise more positions are
-    reachable: the memo stops storing once full and computes the rest, so
-    its hit rate falls but no result changes.
+    reachable: the memo empties when full and computes them again, so its
+    hit rate falls but no result changes.
     """
-    memo = LinkMemo((N_VELOCITY_BINS - 1) * cfg.n_steps + 1)
+    first = init_world(cfg, seed=seed)
+    first.pos.flags.writeable = False
+    first.link_memo = LinkMemo((N_VELOCITY_BINS - 1) * cfg.n_steps + 1)
 
     def factory(episode: int) -> World:
-        world = init_world(cfg, seed=seed)
-        world.link_memo = memo
-        return world
+        return fresh_episode(first)
 
     return factory
 

@@ -11,10 +11,13 @@ import numpy as np
 
 @dataclass
 class UavState:
-    """UAV pose on the fixed circular trajectory."""
+    """UAV pose on the fixed circular trajectory, and how it got there."""
 
     pos: Tuple[float, float, float]
     arc_s: float = 0.0
+    moves: int = 0  # frames flown
+    velocity_mps: float = 0.0  # of the last move
+    run: int = 0  # moves in a row at velocity_mps
 
 
 @dataclass(frozen=True)

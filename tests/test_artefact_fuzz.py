@@ -3,14 +3,17 @@ byte at a time, and read back by `replay` or `eval-ppo`.
 
 Every call must return one of the documented exit codes (0, 1 or 2) with
 no traceback: a mutated artefact either still describes a valid run, or it
-is rejected with a named error.
+is rejected with a named error. An `eval-ppo` run that exits 0 must report
+a finite time-average AoI.
 """
 
 import contextlib
 import csv
 import io
 import json
+import math
 import os
+import re
 import tempfile
 
 import pytest
@@ -49,7 +52,8 @@ def artefacts(tmp_path_factory):
 
 def run_cli(files, command):
     """Write `files` into a fresh directory and run `command` on them;
-    returns the exit code after checking stderr holds no traceback."""
+    returns the exit code after checking stderr holds no traceback, and
+    that an evaluation that succeeds prints a finite AoI."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, data in files.items():
             with open(os.path.join(tmp, name), "wb") as fh:
@@ -59,10 +63,13 @@ def run_cli(files, command):
         else:
             argv = ["eval-ppo", "--config", os.path.join(tmp, "world.json"),
                     "--params", os.path.join(tmp, "ppo_params.bin")]
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli_main(argv)
     assert "Traceback" not in err.getvalue()
+    if command == "eval-ppo" and code == 0:
+        (aoi,) = re.findall(r"time_avg_aoi_s=(\S+)", out.getvalue())
+        assert math.isfinite(float(aoi))
     return code
 
 

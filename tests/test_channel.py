@@ -182,6 +182,30 @@ class TestLinkBudgetArrays:
         assert elevation_angle(uav(h=10), [(0.0, 0.0)]).tolist() == [90.0]
         assert success_probability(snr - 2000.0, cfg).tolist() == [0.0, 0.0]
 
+    @given(n=st.integers(1, 64), k=st.integers(1, 64), on_orbit=st.integers(0, 64),
+           arc=st.floats(-1e4, 1e4), v=st.floats(-15.0, 15.0), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_rows_of_k_positions_equal_single_calls(self, n, k, on_orbit, arc, v, seed):
+        cfg = self.CFG.replace(n_sensors=n)
+        positions = []
+        for _ in range(k):
+            theta = arc / cfg.orbit_radius_m
+            positions.append((50.0 + 35.0 * math.cos(theta), 50.0 + 35.0 * math.sin(theta),
+                              cfg.altitude_m))
+            arc += v
+        sensors = np.random.default_rng(seed).uniform(0.0, 400.0, (n, 2))
+        m = min(on_orbit, n, k)  # sensors straight under the UAV: d = 0
+        sensors[:m] = np.array(positions)[:m, :2]
+        batch = link_budget(np.array(positions), sensors, cfg)
+        one_sensor = link_budget(np.array(positions), tuple(sensors[0]), cfg)
+        assert all(a.shape == (k, n) for a in batch)
+        assert all(a.shape == (k,) for a in one_sensor)
+        for i, p in enumerate(positions):
+            for rows, single in ((batch, link_budget(p, sensors, cfg)),
+                                 (one_sensor, link_budget(p, tuple(sensors[0]), cfg))):
+                for a, expected in zip(rows, single):
+                    assert a[i].tobytes() == np.asarray(expected).tobytes()
+
     def test_one_pair_gives_scalars(self):
         distance, path_loss, snr = link_budget(uav(h=10), (30.0, 0.0), CFG)
         assert np.ndim(distance) == np.ndim(path_loss) == np.ndim(snr) == 0

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from frsicl import channel
 from frsicl.config import WorldConfig
-from frsicl.env import (ActionError, HorizonError, LinkMemo, advance_uav,
-                        attempt_collection, init_world, observe, run_episode,
-                        step, update_aoi)
+from frsicl.env import (MAX_BATCH_LINKS, ActionError, HorizonError, LinkMemo,
+                        advance_uav, attempt_collection, init_world, observe,
+                        run_episode, step, update_aoi)
 from frsicl.policies import MaxAoiPolicy, RoundRobinPolicy
 from frsicl.states import Action
 
@@ -25,6 +25,16 @@ class FixedPolicy:
 
     def decide(self, obs, rng) -> Action:
         return self.action
+
+
+class FixedVelocities:
+    """Sensor 1 at the k-th velocity in frame k."""
+
+    def __init__(self, velocities):
+        self.velocities = iter(velocities)
+
+    def decide(self, obs, rng) -> Action:
+        return Action(sensor=1, velocity_mps=next(self.velocities))
 
 
 def world_with_sensor_at(pos, cfg=CFG, seed=0):
@@ -111,18 +121,80 @@ class TestAttemptCollection:
         assert all(type(o) is bool for o in outcomes[0])
 
 
+def spy_link_budget(monkeypatch):
+    """The UAV positions of every channel.link_budget call, one list per call."""
+    calls = []
+    real = channel.link_budget
+
+    def spy(uav_pos, sensor_pos, cfg):
+        calls.append([tuple(p) for p in np.reshape(uav_pos, (-1, 3)).tolist()])
+        return real(uav_pos, sensor_pos, cfg)
+
+    monkeypatch.setattr(channel, "link_budget", spy)
+    return calls
+
+
+# velocity sequences: long constant runs, alternations and random values
+RUNS = st.lists(st.tuples(st.sampled_from([0.0, 3.75, 7.5, 15.0]), st.integers(1, 40)),
+                min_size=1, max_size=4).map(lambda runs: [v for v, n in runs for _ in range(n)])
+ALTERNATIONS = st.tuples(st.sampled_from([3.75, 7.5, 15.0]), st.sampled_from([0.0, 7.5, 11.25]),
+                         st.integers(1, 60)).map(lambda t: [t[i % 2] for i in range(t[2])])
+VELOCITIES = st.one_of(RUNS, ALTERNATIONS,
+                       st.lists(st.floats(-5.0, 20.0), min_size=1, max_size=60))
+
+
 class TestOneLinkBudgetPerFrame:
-    """observe and attempt_collection share one link budget per UAV position."""
+    """observe and attempt_collection share one link budget per UAV position;
+    a miss computes it with the positions the UAV's velocity reaches next."""
 
     def test_calls_per_episode(self, monkeypatch):
-        calls = []
-        real = channel.link_budget
-        monkeypatch.setattr(channel, "link_budget",
-                            lambda *args: calls.append(args) or real(*args))
+        # at constant speed, every position of the episode is computed once
+        calls = spy_link_budget(monkeypatch)
         for policy in (RoundRobinPolicy(CFG), MaxAoiPolicy(CFG)):
             calls.clear()
-            run_episode(init_world(CFG, seed=4), policy)
-            assert len(calls) == CFG.n_steps + 1
+            w = init_world(CFG, seed=4)
+            run_episode(w, policy)
+            assert sum(len(c) for c in calls) == CFG.n_steps + 1
+            assert calls[-1][-1] == w.uav.pos
+
+    @pytest.mark.parametrize("model", ["threshold", "logistic"])
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 3, 10, 100, 300]),
+           velocities=VELOCITIES)
+    @settings(max_examples=60, deadline=None)
+    def test_observe_equals_a_fresh_link_budget(self, model, seed, n, velocities):
+        cfg = CFG.replace(success_model=model, n_sensors=n, n_steps=len(velocities))
+        w = init_world(cfg, seed=seed)
+        for k, v in enumerate(velocities):
+            obs = observe(w)
+            fresh = channel.link_budget(w.uav.pos, w.pos, cfg)
+            for got, expected in zip((obs.distance_m, obs.path_loss_db, obs.snr_db), fresh):
+                assert got.tobytes() == expected.tobytes()
+            step(w, Action(1 + k % n, v))
+
+    @given(n=st.sampled_from([1, 10, 100, 2049]), velocities=VELOCITIES)
+    @settings(max_examples=60, deadline=None)
+    def test_positions_computed_at_most_twice_the_frames(self, n, velocities):
+        # each run at one velocity wastes at most as many positions as it flew
+        with pytest.MonkeyPatch.context() as patch:
+            calls = spy_link_budget(patch)
+            t = len(velocities)
+            w = init_world(CFG.replace(n_sensors=n, n_steps=t), seed=1)
+            run_episode(w, FixedVelocities(velocities))
+        assert sum(len(c) for c in calls) <= 2 * (t + 1)
+
+    @given(n=st.integers(1, 128), t=st.integers(1, 400),
+           v=st.sampled_from([0.0, 0.1, 3.75, 7.5, 15.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_calls_at_constant_velocity(self, n, t, v):
+        # the lookahead doubles until a call holds MAX_BATCH_LINKS links
+        with pytest.MonkeyPatch.context() as patch:
+            calls = spy_link_budget(patch)
+            w = init_world(CFG.replace(n_sensors=n, n_steps=t), seed=2)
+            run_episode(w, FixedPolicy(Action(1, v)))
+        assert len(calls) <= math.ceil(math.log2(t)) + 2 + math.ceil(t * n / MAX_BATCH_LINKS)
+        assert all(len(c) * n <= max(n, MAX_BATCH_LINKS) for c in calls)
+        if v > 0.0:
+            assert sum(len(c) for c in calls) == t + 1
 
     @pytest.mark.parametrize("model", ["threshold", "logistic"])
     @given(seed=st.integers(0, 2**32 - 1), capacity=st.sampled_from([0, 1, 3, 121]),
@@ -146,7 +218,8 @@ class TestOneLinkBudgetPerFrame:
                 step(plain, Action(sensor, v))
                 step(shared, Action(sensor, v))
             assert shared.log == plain.log
-        assert len(memo) <= capacity
+        # a batch that would pass the capacity empties the memo first
+        assert len(memo) <= max(capacity, cfg.n_steps + 1)
 
     @pytest.mark.parametrize("model", ["threshold", "logistic"])
     @given(seed=st.integers(0, 2**32 - 1),

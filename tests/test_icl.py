@@ -316,10 +316,30 @@ class TestLinearParse:
 
         monkeypatch.setattr(parsing, "_DECODER", Counting())
         monkeypatch.setattr(parsing, "_object_at",
-                            lambda raw, i: attempts.append(i) or object_at(raw, i))
+                            lambda raw, i, budget: attempts.append(i) or object_at(raw, i, budget))
         parse_outcome(lambda: parse_action(raw, CFG))
         assert len(attempts) <= raw.count("{")
         assert sum(windows) <= 4 * len(raw) + 2 * parsing._FIRST_WINDOW * len(attempts)
+
+    @pytest.mark.parametrize("raw", [
+        '{"a":' * 8000,
+        '{"a":' * 8000 + '{"sensor": 3, "velocity": 5}',
+        '{"a": [' * 20_000,
+    ], ids=["keys", "keys-then-action", "lists"])
+    def test_nested_reply_stops_at_the_budget(self, monkeypatch, raw):
+        # every "{" of a nested reply decodes up to the recursion limit, so
+        # a budget of decoded characters, linear in the reply, ends the search
+        windows = []
+        decoder = parsing._DECODER
+
+        class Counting:
+            def raw_decode(self, window):
+                windows.append(len(window))
+                return decoder.raw_decode(window)
+
+        monkeypatch.setattr(parsing, "_DECODER", Counting())
+        assert parse_outcome(lambda: parse_action(raw, CFG)) == NO_OBJECT
+        assert sum(windows) <= parsing._BUDGET_PER_CHAR * len(raw) + parsing._BUDGET_BASE
 
 
 class TestMockBackends:

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import math
 import struct
@@ -178,7 +179,10 @@ class TestSampleAction:
         logits[1] = bad
         if bad == -np.inf:
             logits[:] = bad
-        with pytest.raises(ValueError):
+        # log_softmax subtracts inf from inf; nan passes through silently
+        warns = (pytest.warns(RuntimeWarning, match="invalid value encountered in subtract")
+                 if np.isinf(bad) else contextlib.nullcontext())
+        with warns, pytest.raises(ValueError):
             sample_action(logits, np.zeros(5), np.random.default_rng(0))
 
     def test_velocity_bins_at_defaults(self):
@@ -475,10 +479,14 @@ class TestSharedLinkBudgets:
 
     def test_one_link_budget_per_position(self, monkeypatch):
         from frsicl import channel
-        calls = []
+        computed = []
         real = channel.link_budget
-        monkeypatch.setattr(channel, "link_budget",
-                            lambda *args: calls.append(args) or real(*args))
+
+        def spy(uav_pos, sensor_pos, cfg):
+            computed.append([tuple(p) for p in uav_pos.tolist()])
+            return real(uav_pos, sensor_pos, cfg)
+
+        monkeypatch.setattr(channel, "link_budget", spy)
         cfg = WorldConfig()
         make_world = default_world_factory(cfg, 3)
         worlds = []
@@ -487,7 +495,12 @@ class TestSharedLinkBudgets:
         memo = worlds[0].link_memo
         assert all(w.link_memo is memo for w in worlds)
         assert memo.capacity == (N_VELOCITY_BINS - 1) * cfg.n_steps + 1
-        assert len(calls) == len(memo) <= memo.capacity
+        # every position computed is kept, and a call starts at a new one
+        positions = [p for call in computed for p in call]
+        assert set(positions) == set(memo) and len(memo) <= memo.capacity
+        assert len({call[0] for call in computed}) == len(computed)
+        # the lookahead wastes at most one position per frame flown
+        assert len(positions) <= 2 * (cfg.n_steps + 1) * len(worlds)
         assert len({w.uav.pos for w in worlds}) > 1
         for link in memo.values():
             for a in link:
@@ -501,3 +514,22 @@ class TestSharedLinkBudgets:
         assert first.pos.tobytes() == second.pos.tobytes()
         assert first.cfg == second.cfg
         assert first.link_memo is second.link_memo
+        assert first.pos is second.pos and not first.pos.flags.writeable
+
+    @pytest.mark.parametrize("seed", [0, 8, 2**32 - 1])
+    def test_factory_worlds_draw_what_init_world_draws(self, seed):
+        make_world = default_world_factory(WorldConfig(), seed)
+        for episode in range(3):
+            world, fresh = make_world(episode), init_world(WorldConfig(), seed=seed)
+            assert world.pos.tobytes() == fresh.pos.tobytes()
+            assert world.uav == fresh.uav and world.log == []
+            assert world.aoi_s.tolist() == fresh.aoi_s.tolist()
+            assert world.battery_j.tolist() == fresh.battery_j.tolist()
+            for rng, expected in ((world.env_rng, fresh.env_rng),
+                                  (world.policy_rng, fresh.policy_rng)):
+                assert (rng.seed, rng.label) == (expected.seed, expected.label)
+                assert rng.gen.bit_generator is not expected.gen.bit_generator
+                assert [rng.random() for _ in range(5)] == [expected.random() for _ in range(5)]
+                assert rng.gen.integers(0, 10**9, 7).tolist() == \
+                    expected.gen.integers(0, 10**9, 7).tolist()
+                assert rng.gen.bit_generator.state == expected.gen.bit_generator.state
