@@ -2,15 +2,13 @@
 """Paired benchmark: a base revision against the current checkout.
 
     python3 scripts/bench_pairs.py --pairs 10 --out BENCH_6.json
-    python3 scripts/bench_pairs.py --pairs 3 --workload rollout-n100 --out quick.json
 
 Exports the base revision (default HEAD~) with `git archive` into a
 temporary directory, then runs `simbench/run.py` on every workload of
-BENCHMARK.json, or on each one given with `--workload`, `--pairs` (at
-least 2) times per side, each run as long as its `run_seconds`. Pair i
-runs both sides with seed FIRST_SEED + i; the side that goes first
-alternates from pair to pair, so slow drift of a shared machine falls on
-both. The output JSON holds, per workload and
+BENCHMARK.json `--pairs` (at least 2) times per side, each run as long
+as its `run_seconds`. Pair i runs both sides with seed FIRST_SEED + i;
+the side that goes first alternates from pair to pair, so slow drift of
+a shared machine falls on both. The output JSON holds, per workload and
 end-to-end metric (as BENCHMARK.json names them), each side's runs,
 median, q1 and q3, and the share of pairs the change won; a tie wins
 nothing. A run that fails its checks stops the script.
@@ -36,8 +34,6 @@ def parse_args(argv):
     parser.add_argument("--base", default="HEAD~", help="git revision to compare against")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--workload", action="append", dest="workloads", metavar="NAME",
-                        help="run only this workload (repeatable; default: all)")
     args = parser.parse_args(argv)
     if args.pairs < 2:  # quartiles need two runs per side
         parser.error("--pairs must be at least 2")
@@ -91,10 +87,6 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     seconds = bench["run_seconds"]
-    names = [w["name"] for w in bench["workloads"]]
-    for name in args.workloads or ():
-        if name not in names:
-            raise SystemExit(f"unknown workload {name!r}; BENCHMARK.json has {names}")
     result = {
         "base": git("rev-parse", args.base),
         "change": git("rev-parse", "HEAD") + (" + uncommitted changes"
@@ -107,7 +99,7 @@ def main(argv=None) -> int:
     }
     with tempfile.TemporaryDirectory(prefix="bench-base-") as base_tree:
         export(args.base, base_tree)
-        for workload in args.workloads or names:
+        for workload in (w["name"] for w in bench["workloads"]):
             runs = []
             for i, seed in enumerate(result["seeds"]):
                 sides = [("base", base_tree), ("change", ROOT)]

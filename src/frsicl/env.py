@@ -36,16 +36,17 @@ MAX_BATCH_LINKS = 4096
 
 class LinkMemo(dict):
     """uav.pos -> read-only (distance, path loss, SNR) arrays, for worlds
-    with one `pos` and one `cfg`. A batch that would take it past
-    `capacity` positions empties it first: capacity 0 keeps only the
-    newest batch."""
+    with one `pos` and one `cfg`. A batch of new positions that would take
+    it past `capacity` empties it first: capacity 0 keeps only the newest
+    batch."""
 
     def __init__(self, capacity: int = 0):
         super().__init__()
         self.capacity = capacity
 
     def put(self, positions: List[Tuple[float, float, float]], link: Link) -> None:
-        """Store row i of each (K, N) array of `link` under positions[i]."""
+        """Store row i of each (K, N) array of `link` under positions[i],
+        K positions that the memo does not hold."""
         if len(self) + len(positions) > self.capacity:
             self.clear()
         for a in link:
@@ -75,8 +76,8 @@ class World:
     policy_rng: RngStream
     log: List[StepRecord] = field(default_factory=list)
     # private to this world unless worlds with one pos and cfg share it (see
-    # fresh_episode). Code that moves a sensor must clear it, and must not
-    # move one of a world that shares it.
+    # ppo.train.default_world_factory). Code that moves a sensor must clear
+    # it, and must not move one of a world that shares it.
     link_memo: LinkMemo = field(default_factory=LinkMemo, repr=False)
 
     @property
@@ -93,31 +94,18 @@ def _orbit_pos(cfg: WorldConfig, arc_s: float):
             cfg.altitude_m)
 
 
-def _episode_start(cfg: WorldConfig, pos: np.ndarray, env_rng: RngStream,
-                   policy_rng: RngStream, link_memo: LinkMemo) -> World:
-    n = cfg.n_sensors
-    return World(cfg=cfg, t_s=0.0, uav=UavState(pos=_orbit_pos(cfg, 0.0)), pos=pos,
-                 aoi_s=np.zeros(n), battery_j=np.full(n, cfg.battery_j, dtype=np.float64),
-                 env_rng=env_rng, policy_rng=policy_rng, link_memo=link_memo)
-
-
 def init_world(cfg: WorldConfig, seed: Optional[int] = None) -> World:
     """Fresh world: sensors i.i.d. uniform on the area, UAV at orbit angle 0."""
     validate_config(cfg)
     if seed is None:
         seed = cfg.seed
     rng = RngStream(seed)
-    pos = rng.substream("layout").uniform(0.0, cfg.area_size_m, size=(cfg.n_sensors, 2))
-    return _episode_start(cfg, pos, rng.substream("env"), rng.substream("policy"),
-                          LinkMemo())
-
-
-def fresh_episode(world: World) -> World:
-    """A new episode of world's deployment, as init_world would start it:
-    the same cfg, and the same `pos` array and link memo, shared; RNG
-    streams that draw what world's streams would draw next."""
-    return _episode_start(world.cfg, world.pos, world.env_rng.clone(),
-                          world.policy_rng.clone(), world.link_memo)
+    n = cfg.n_sensors
+    pos = rng.substream("layout").uniform(0.0, cfg.area_size_m, size=(n, 2))
+    uav = UavState(pos=_orbit_pos(cfg, 0.0))
+    return World(cfg=cfg, t_s=0.0, uav=uav, pos=pos, aoi_s=np.zeros(n),
+                 battery_j=np.full(n, cfg.battery_j, dtype=np.float64),
+                 env_rng=rng.substream("env"), policy_rng=rng.substream("policy"))
 
 
 def advance_uav(world: World, velocity: float) -> None:
@@ -127,7 +115,6 @@ def advance_uav(world: World, velocity: float) -> None:
     uav.pos = _orbit_pos(world.cfg, uav.arc_s)
     uav.run = uav.run + 1 if velocity == uav.velocity_mps else 1
     uav.velocity_mps = velocity
-    uav.moves += 1
 
 
 def _link_at_uav(world: World) -> Link:
@@ -142,19 +129,25 @@ def _fill_links(world: World) -> Link:
 
     It looks as many frames ahead as the UAV has flown at that velocity, so
     a policy that changes speed wastes at most the positions it used; no
-    further than the horizon, nor past MAX_BATCH_LINKS per call. The
-    positions come from the additions advance_uav makes, so a frame that
-    keeps the velocity finds its position under the same key.
+    further than the horizon (the frames left after the current one, so a
+    frame-start miss may stop one position short), nor past MAX_BATCH_LINKS
+    per call, nor past a position the memo holds or the UAV's own. The positions come from
+    the additions advance_uav makes, so a frame that keeps the velocity
+    finds its position under the same key.
     """
-    cfg, uav = world.cfg, world.uav
-    ahead = min(uav.run, cfg.n_steps - uav.moves, MAX_BATCH_LINKS // cfg.n_sensors - 1)
+    cfg, uav, memo = world.cfg, world.uav, world.link_memo
+    ahead = min(uav.run, cfg.n_steps - len(world.log) - 1,
+                MAX_BATCH_LINKS // cfg.n_sensors - 1)
     positions = [uav.pos]
     arc, stride = uav.arc_s, uav.velocity_mps * cfg.dt_s
     for _ in range(ahead):
         arc += stride
-        positions.append(_orbit_pos(cfg, arc))
+        pos = _orbit_pos(cfg, arc)
+        if pos in memo or pos == positions[-1]:  # velocity 0
+            break
+        positions.append(pos)
     link = channel.link_budget(np.array(positions), world.pos, cfg)
-    world.link_memo.put(positions, link)
+    memo.put(positions, link)
     return link[0][0], link[1][0], link[2][0]
 
 

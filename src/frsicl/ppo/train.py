@@ -10,8 +10,8 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from ..config import ConfigError, WorldConfig
-from ..env import (LinkMemo, World, fresh_episode, init_world, observe,
-                   run_episode, step as env_step)
+from ..env import (LinkMemo, World, init_world, observe, run_episode,
+                   step as env_step)
 from ..features import feature_dim, feature_vector
 from ..rng import RngStream
 from ..states import Action, RunSummary
@@ -75,9 +75,7 @@ class TrainResult:
 
 def default_world_factory(cfg: WorldConfig, seed: int) -> Callable[[int], World]:
     """Fresh episodes of the same fixed deployment: the sensor layout is a
-    function of the seed alone, matching training on one field. The config
-    is checked, and the layout and RNG streams drawn, once: each episode is
-    a fresh_episode of one world from init_world, with its read-only layout.
+    function of the seed alone, matching training on one field.
 
     The worlds share one LinkMemo of capacity (N_VELOCITY_BINS - 1) *
     n_steps + 1. That is every orbit position an episode can reach when
@@ -86,12 +84,12 @@ def default_world_factory(cfg: WorldConfig, seed: int) -> Callable[[int], World]
     reachable: the memo empties when full and computes them again, so its
     hit rate falls but no result changes.
     """
-    first = init_world(cfg, seed=seed)
-    first.pos.flags.writeable = False
-    first.link_memo = LinkMemo((N_VELOCITY_BINS - 1) * cfg.n_steps + 1)
+    memo = LinkMemo((N_VELOCITY_BINS - 1) * cfg.n_steps + 1)
 
     def factory(episode: int) -> World:
-        return fresh_episode(first)
+        world = init_world(cfg, seed=seed)
+        world.link_memo = memo
+        return world
 
     return factory
 

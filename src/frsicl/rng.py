@@ -27,16 +27,6 @@ class RngStream:
             np.random.PCG64(np.random.SeedSequence([self.seed, _label_entropy(label)]))
         )
 
-    def clone(self) -> "RngStream":
-        """A stream in this one's current state that draws independently of
-        it, restored from the PCG64 state rather than seeded again."""
-        twin = RngStream.__new__(RngStream)
-        twin.seed, twin.label = self.seed, self.label
-        bit_gen = np.random.PCG64(self.gen.bit_generator.seed_seq)
-        bit_gen.state = self.gen.bit_generator.state
-        twin.gen = np.random.Generator(bit_gen)
-        return twin
-
     def substream(self, label: str) -> "RngStream":
         return RngStream(self.seed, f"{self.label}/{label}")
 

@@ -15,7 +15,6 @@ class UavState:
 
     pos: Tuple[float, float, float]
     arc_s: float = 0.0
-    moves: int = 0  # frames flown
     velocity_mps: float = 0.0  # of the last move
     run: int = 0  # moves in a row at velocity_mps
 

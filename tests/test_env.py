@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frsicl import channel
@@ -182,19 +182,49 @@ class TestOneLinkBudgetPerFrame:
             run_episode(w, FixedVelocities(velocities))
         assert sum(len(c) for c in calls) <= 2 * (t + 1)
 
-    @given(n=st.integers(1, 128), t=st.integers(1, 400),
-           v=st.sampled_from([0.0, 0.1, 3.75, 7.5, 15.0]))
+    @given(n=st.one_of(st.integers(1, 128), st.integers(129, 5000)),
+           t=st.integers(1, 1500), v=st.sampled_from([0.0, 0.1, 3.75, 7.5, 15.0]))
+    @example(n=129, t=1500, v=7.5).via("floor rule: 31 positions per call")
+    @example(n=4097, t=60, v=3.75).via("no lookahead")
     @settings(max_examples=40, deadline=None)
     def test_calls_at_constant_velocity(self, n, t, v):
-        # the lookahead doubles until a call holds MAX_BATCH_LINKS links
+        # the lookahead doubles until a call holds MAX_BATCH_LINKS // n
+        # positions; from 2 049 sensors on, every call holds one
         with pytest.MonkeyPatch.context() as patch:
             calls = spy_link_budget(patch)
             w = init_world(CFG.replace(n_sensors=n, n_steps=t), seed=2)
-            run_episode(w, FixedPolicy(Action(1, v)))
-        assert len(calls) <= math.ceil(math.log2(t)) + 2 + math.ceil(t * n / MAX_BATCH_LINKS)
+            policy = FixedPolicy(Action(1, v))
+            visited = []
+            policy.feedback = lambda obs, record: visited.append(obs.uav_pos)
+            run_episode(w, policy)
+        per_call = max(1, MAX_BATCH_LINKS // n)
+        assert len(calls) <= math.ceil(math.log2(t)) + 2 + math.ceil(t / per_call)
         assert all(len(c) * n <= max(n, MAX_BATCH_LINKS) for c in calls)
-        if v > 0.0:
-            assert sum(len(c) for c in calls) == t + 1
+        # each position the UAV visits is computed once, and no other; the
+        # last one only if a collection is attempted there
+        positions = [p for c in calls for p in c]
+        assert len(positions) == len(set(positions))
+        assert set(visited) <= set(positions) <= set(visited) | {w.uav.pos}
+
+    def test_velocity_zero_computes_one_position(self, monkeypatch):
+        calls = spy_link_budget(monkeypatch)
+        w = init_world(CFG, seed=0)
+        for _ in range(5):
+            step(w, Action(1, 0.0))
+        w.link_memo.clear()
+        observe(w)
+        assert calls[-1] == [w.uav.pos]
+
+    def test_memo_empties_before_passing_its_capacity(self):
+        memo = LinkMemo(3)
+        link = channel.link_budget(np.zeros((2, 3)), np.ones((2, 2)), CFG)
+        # [3, 4] and [6] would each make four positions: the memo empties first
+        batches = ([1.0, 2.0], [3.0, 4.0], [5.0], [6.0])
+        held = ([1.0, 2.0], [3.0, 4.0], [3.0, 4.0, 5.0], [6.0])
+        for batch, expected in zip(batches, held):
+            memo.put([(0.0, 0.0, h) for h in batch], tuple(a[:len(batch)] for a in link))
+            assert [p[2] for p in memo] == expected
+        assert not memo[(0.0, 0.0, 6.0)][2].flags.writeable
 
     @pytest.mark.parametrize("model", ["threshold", "logistic"])
     @given(seed=st.integers(0, 2**32 - 1), capacity=st.sampled_from([0, 1, 3, 121]),

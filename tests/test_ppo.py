@@ -495,12 +495,10 @@ class TestSharedLinkBudgets:
         memo = worlds[0].link_memo
         assert all(w.link_memo is memo for w in worlds)
         assert memo.capacity == (N_VELOCITY_BINS - 1) * cfg.n_steps + 1
-        # every position computed is kept, and a call starts at a new one
+        # each reachable position is computed once and kept
         positions = [p for call in computed for p in call]
-        assert set(positions) == set(memo) and len(memo) <= memo.capacity
-        assert len({call[0] for call in computed}) == len(computed)
-        # the lookahead wastes at most one position per frame flown
-        assert len(positions) <= 2 * (cfg.n_steps + 1) * len(worlds)
+        assert len(positions) == len(memo) <= memo.capacity
+        assert set(positions) == set(memo)
         assert len({w.uav.pos for w in worlds}) > 1
         for link in memo.values():
             for a in link:
@@ -514,7 +512,6 @@ class TestSharedLinkBudgets:
         assert first.pos.tobytes() == second.pos.tobytes()
         assert first.cfg == second.cfg
         assert first.link_memo is second.link_memo
-        assert first.pos is second.pos and not first.pos.flags.writeable
 
     @pytest.mark.parametrize("seed", [0, 8, 2**32 - 1])
     def test_factory_worlds_draw_what_init_world_draws(self, seed):
