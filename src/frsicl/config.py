@@ -183,6 +183,8 @@ def load_world_config(path: str) -> WorldConfig:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        except RecursionError:
+            raise ConfigError(f"{path}: JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top-level JSON value must be an object")
     return config_from_dict(data)

@@ -240,9 +240,14 @@ def observe(world: World) -> Observation:
 def summarize(world: World, run_id: str = "run") -> RunSummary:
     log = world.log
     n = len(log)
-    total = np.zeros(world.cfg.n_sensors)
-    for rec in log:  # frame by frame, the order in which sum() adds
-        total += np.frombuffer(rec.per_sensor_aoi)
+    frames = np.frombuffer(b"".join(rec.per_sensor_aoi for rec in log)).reshape(
+        n, world.cfg.n_sensors)
+    # Frame by frame, the order in which sum() adds: numpy reduces axis 0 of
+    # a C-contiguous array row by row, but adds up a lone column pairwise.
+    if n and world.cfg.n_sensors == 1:
+        total = np.add.accumulate(frames)[-1]
+    else:
+        total = frames.sum(axis=0)
     return RunSummary(
         run_id=run_id,
         time_avg_aoi_s=sum(rec.avg_aoi_s for rec in log) / n if n else 0.0,

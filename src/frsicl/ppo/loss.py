@@ -28,17 +28,8 @@ def _entropy(p: np.ndarray, lp: np.ndarray) -> np.ndarray:
     return -(p * lp).sum(axis=-1)
 
 
-def ppo_loss(params: MlpParams, batch: Minibatch, clip_eps: float,
-             value_coef: float, entropy_coef: float) -> float:
-    """Scalar loss only (used directly by the finite-difference oracle)."""
-    loss, _ = ppo_loss_and_grads(params, batch, clip_eps, value_coef,
-                                 entropy_coef, want_grads=False)
-    return loss
-
-
 def ppo_loss_and_grads(params: MlpParams, batch: Minibatch, clip_eps: float,
-                       value_coef: float, entropy_coef: float,
-                       want_grads: bool = True):
+                       value_coef: float, entropy_coef: float):
     """Return (loss, grad), grad one flat vector laid out like params.flat.
 
     loss = -mean(min(rho A, clip(rho, 1-eps, 1+eps) A))
@@ -70,9 +61,6 @@ def ppo_loss_and_grads(params: MlpParams, batch: Minibatch, clip_eps: float,
     H_v = _entropy(p_v, lp_v)
     entropy = (H_s + H_v).mean()
     loss = float(policy_loss + value_loss - entropy_coef * entropy)
-
-    if not want_grads:
-        return loss, None
 
     # Policy term: gradient flows through the unclipped branch only; where
     # the clip is active on the selected branch the contribution is zero.

@@ -1,5 +1,6 @@
-"""PPO training loop: one 30-step episode per update, minibatched epochs,
-fully seeded. Reward is the negative per-frame average AoI."""
+"""PPO training loop: one episode of `run_episode` with a sampling
+PpoPolicy per update, minibatched epochs, fully seeded. Reward is the
+negative per-frame average AoI."""
 
 from __future__ import annotations
 
@@ -10,8 +11,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from ..config import ConfigError, WorldConfig
-from ..env import (LinkMemo, World, init_world, observe, run_episode,
-                   step as env_step)
+from ..env import LinkMemo, World, init_world, run_episode
 from ..features import feature_dim, feature_vector
 from ..rng import RngStream
 from ..states import Action, RunSummary
@@ -25,6 +25,10 @@ from .net import (MlpParams, N_VELOCITY_BINS, forward, init_params,
 
 @dataclass
 class PpoConfig:
+    """PPO hyperparameters. steps_per_episode truncates the worlds of the
+    default factory (their horizon is min(n_steps, steps_per_episode)); a
+    custom world_factory sets its own worlds' horizon."""
+
     gamma: float = 0.99
     gae_lambda: float = 0.95
     clip_eps: float = 0.2
@@ -43,7 +47,12 @@ class PpoConfig:
 
 
 class PpoPolicy:
-    """Frozen (or training-time) policy over the trained network."""
+    """Policy over the network: greedy argmax, or sampled from both heads.
+
+    A sampling policy appends (features, sensor bin, velocity bin, joint
+    log-probability, value) to `trajectory` on each decide; training reads
+    and clears it every episode.
+    """
 
     def __init__(self, params: MlpParams, cfg: WorldConfig, greedy: bool = True):
         world = (cfg.n_sensors, feature_dim(cfg.n_sensors))
@@ -54,15 +63,17 @@ class PpoPolicy:
         self.params = params
         self.cfg = cfg
         self.greedy = greedy
+        self.trajectory: List[Tuple[np.ndarray, int, int, float, float]] = []
 
     def decide(self, obs, rng: RngStream) -> Action:
         x = feature_vector(obs, self.cfg)
-        ls, lv, _, _ = forward(self.params, x)
+        ls, lv, value, _ = forward(self.params, x)
         if self.greedy:
             a_s = int(np.argmax(ls.ravel()))
             a_v = int(np.argmax(lv.ravel()))
         else:
-            a_s, a_v, _ = sample_action(ls, lv, rng.gen)
+            a_s, a_v, logp = sample_action(ls, lv, rng.gen)
+            self.trajectory.append((x, a_s, a_v, logp, float(value[0])))
         return Action(sensor=a_s + 1,
                       velocity_mps=velocity_from_bin(a_v, self.cfg.v_max_mps))
 
@@ -94,46 +105,31 @@ def default_world_factory(cfg: WorldConfig, seed: int) -> Callable[[int], World]
     return factory
 
 
-def _collect_episode(params: MlpParams, world: World, cfg: WorldConfig,
-                     ppo_cfg: PpoConfig, act_rng: np.random.Generator):
-    n = min(cfg.n_steps, ppo_cfg.steps_per_episode)
-    feats, a_s_list, a_v_list, logps, values, rewards = [], [], [], [], [], []
-    for t in range(n):
-        obs = observe(world)
-        x = feature_vector(obs, cfg)
-        ls, lv, value, _ = forward(params, x)
-        a_s, a_v, logp = sample_action(ls, lv, act_rng)
-        record = env_step(world, Action(
-            sensor=a_s + 1, velocity_mps=velocity_from_bin(a_v, cfg.v_max_mps)))
-        feats.append(x)
-        a_s_list.append(a_s)
-        a_v_list.append(a_v)
-        logps.append(logp)
-        values.append(float(value[0]))
-        rewards.append(-record.avg_aoi_s)
-    return (np.array(feats), np.array(a_s_list), np.array(a_v_list),
-            np.array(logps), np.array(values), np.array(rewards))
-
-
 def train(cfg: WorldConfig, ppo_cfg: PpoConfig, seed: int,
           world_factory: Optional[Callable[[int], World]] = None,
           curve_path: Optional[str] = None) -> TrainResult:
-    """Train for ppo_cfg.episodes episodes; returns parameters and the
-    per-episode learning curve. Aborts on a non-finite loss."""
+    """Train for ppo_cfg.episodes episodes, each one run_episode of a
+    sampling PpoPolicy on a world of world_factory; returns parameters and
+    the per-episode learning curve. Aborts on a non-finite loss."""
     if world_factory is None:
-        world_factory = default_world_factory(cfg, seed)
+        world_factory = default_world_factory(
+            cfg.replace(n_steps=min(cfg.n_steps, ppo_cfg.steps_per_episode)), seed)
     net_rng = RngStream(seed, "ppo-init").gen
-    act_rng = RngStream(seed, "ppo-actions").gen
+    act_rng = RngStream(seed, "ppo-actions")  # one action stream for every episode
     shuffle_rng = RngStream(seed, "ppo-shuffle").gen
     params = init_params(cfg.n_sensors, feature_dim(cfg.n_sensors),
                          ppo_cfg.hidden, net_rng)
+    policy = PpoPolicy(params, cfg, greedy=False)
     adam_state = AdamState.for_params(params)
     curve: List[Tuple[int, float, float]] = []
 
     for episode in range(ppo_cfg.episodes):
         world = world_factory(episode)
-        feats, a_s, a_v, logps, values, rewards = _collect_episode(
-            params, world, cfg, ppo_cfg, act_rng)
+        world.policy_rng = act_rng
+        policy.trajectory.clear()
+        run_episode(world, policy)
+        feats, a_s, a_v, logps, values = map(np.array, zip(*policy.trajectory))
+        rewards = -np.array([rec.avg_aoi_s for rec in world.log])
         adv, rets = gae_advantages(rewards, values, ppo_cfg.gamma,
                                    ppo_cfg.gae_lambda)
         adv = normalize_advantages(adv)

@@ -8,6 +8,7 @@ depend on Python's per-process string hashing.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -23,8 +24,13 @@ class RngStream:
     def __init__(self, seed: int, label: str = "root"):
         self.seed = int(seed)
         self.label = label
-        self.gen = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([self.seed, _label_entropy(label)]))
+
+    @functools.cached_property
+    def gen(self) -> np.random.Generator:
+        """The PCG64 generator, seeded on first use: a stream that never
+        draws, such as the root of its substreams, costs no seeding."""
+        return np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence([self.seed, _label_entropy(self.label)]))
         )
 
     def substream(self, label: str) -> "RngStream":

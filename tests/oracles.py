@@ -161,6 +161,18 @@ def scanned_first_object(raw: str):
     return None
 
 
+# --- episode summary, frame by frame -------------------------------------
+
+def frame_by_frame_per_sensor_aoi(log, n_sensors: int) -> Tuple[List[float], List[float]]:
+    """(per-sensor mean, per-sensor final) AoI of a step log, adding the
+    frames into a zero vector one at a time, in log order."""
+    total = np.zeros(n_sensors)
+    for rec in log:
+        total += np.frombuffer(rec.per_sensor_aoi)
+    final = log[-1].per_sensor_aoi if log else total
+    return (total / max(len(log), 1)).tolist(), final.tolist()
+
+
 # --- retrieval sort oracle ------------------------------------------------
 
 def brute_force_top_k(records: List, current: np.ndarray, k: int) -> List:

@@ -16,9 +16,9 @@ from frsicl.config import WorldConfig
 from frsicl.env import init_world, run_episode, step
 from frsicl.icl import (MAX_RETRIES, IclConfig, IclPolicy, ParseError,
                         parse_action)
-from frsicl.policies import NearestNeighborPolicy, RoundRobinPolicy, max_aoi_decide
+from frsicl.policies import NearestNeighborPolicy, RoundRobinPolicy
 from frsicl.ppo import PpoConfig, Minibatch, forward, init_params, log_softmax, train
-from frsicl.ppo.loss import ppo_loss, ppo_loss_and_grads
+from frsicl.ppo.loss import ppo_loss_and_grads
 from frsicl.states import Action
 
 from oracles import (central_difference_grad, enumerate_action_sequences,
@@ -125,7 +125,7 @@ def test_4_ppo_gradient_check():
                               rng.normal(size=B), rng.normal(size=B))
             _, analytic = ppo_loss_and_grads(params, batch, 0.2, 0.5, 0.01)
             numeric = central_difference_grad(
-                lambda p: ppo_loss(p, batch, 0.2, 0.5, 0.01), params)
+                lambda p: ppo_loss_and_grads(p, batch, 0.2, 0.5, 0.01)[0], params)
             rel = np.linalg.norm(analytic - numeric) / max(
                 np.linalg.norm(analytic) + np.linalg.norm(numeric), 1e-10)
             assert rel < 1e-4, f"net {checked}: relative error {rel:.2e}"

@@ -107,6 +107,26 @@ def test_string_n_steps_in_file_exits_1(tmp_path, capsys):
     assert "n_steps must be an integer" in capsys.readouterr().err
 
 
+def test_deeply_nested_config_exits_1(tmp_path, capsys):
+    nested = "[" * 100_000 + "]" * 100_000
+    config = tmp_path / "nested.json"
+    config.write_text(nested)
+    code = cli_main(["run", "--policy", "maxaoi", "--config", str(config),
+                     "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert "JSON nested too deeply" in err and "Traceback" not in err
+    # the same file as the world.json beside a steps.csv
+    out = tmp_path / "run"
+    assert cli_main(["run", "--policy", "maxaoi", "--out-dir", str(out)]) == 0
+    (out / "world.json").write_text(nested)
+    capsys.readouterr()
+    code = cli_main(["replay", "--steps-csv", str(out / "steps.csv")])
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert "JSON nested too deeply" in err and "Traceback" not in err
+
+
 def test_seed_and_env_a_ranges():
     with pytest.raises(ConfigError, match="seed must be >= 0"):
         config_from_dict({"seed": -1})

@@ -1,5 +1,6 @@
 import copy
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from frsicl import channel
 from frsicl.config import WorldConfig
 from frsicl.env import (MAX_BATCH_LINKS, ActionError, HorizonError, LinkMemo,
                         advance_uav, attempt_collection, init_world, observe,
-                        run_episode, step, update_aoi)
+                        run_episode, step, summarize, update_aoi)
 from frsicl.policies import MaxAoiPolicy, RoundRobinPolicy
-from frsicl.states import Action
+from frsicl.states import Action, StepRecord
+
+from oracles import frame_by_frame_per_sensor_aoi
 
 CFG = WorldConfig()
 
@@ -65,6 +68,12 @@ class TestInitWorld:
     def test_initial_avg_aoi_zero(self):
         w = init_world(CFG, seed=0)
         assert sum(w.aoi_s.tolist()) == 0.0
+
+    def test_streams_seed_their_generator_on_first_use(self):
+        w = init_world(CFG.replace(success_model="logistic"), seed=0)
+        assert "gen" not in vars(w.env_rng) and "gen" not in vars(w.policy_rng)
+        run_episode(w, MaxAoiPolicy(w.cfg))
+        assert "gen" in vars(w.env_rng) and "gen" not in vars(w.policy_rng)
 
     def test_uav_starts_at_angle_zero(self):
         w = init_world(CFG, seed=0)
@@ -401,6 +410,29 @@ class TestRunEpisode:
         assert w.log[-1].success
         for rec in w.log[5:]:
             assert max(rec.per_sensor_aoi) <= 5.0
+
+
+class TestSummarize:
+    @given(n_sensors=st.integers(1, 40), n_frames=st.integers(0, 300),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n_sensors=1, n_frames=30, seed=0)  # one column: not pairwise
+    @example(n_sensors=1, n_frames=0, seed=0)
+    @example(n_sensors=100, n_frames=300, seed=1)
+    @settings(max_examples=60, deadline=None)
+    def test_per_sensor_aoi_match_the_frame_by_frame_sums(self, n_sensors, n_frames, seed):
+        rng = np.random.default_rng(seed)
+        cfg = CFG.replace(n_sensors=n_sensors, n_steps=max(n_frames, 1))
+        w = init_world(cfg, seed=0)
+        # magnitudes from 1e-3 to 1e4, so the order of the additions shows
+        rows = rng.random((n_frames, n_sensors)) * 10.0 ** rng.uniform(-3, 4, (n_frames, n_sensors))
+        w.log = [StepRecord(step=k, action=Action(1, 0.0), success=False,
+                            avg_aoi_s=float(row.mean()), per_sensor_aoi=array("d", row.tobytes()))
+                 for k, row in enumerate(rows)]
+        summary = summarize(w)
+        mean, final = frame_by_frame_per_sensor_aoi(w.log, n_sensors)
+        assert np.array(summary.per_sensor_mean_aoi).tobytes() == np.array(mean).tobytes()
+        assert np.array(summary.per_sensor_final_aoi).tobytes() == np.array(final).tobytes()
+        assert summary.n_steps == n_frames
 
 
 class TestInvariants:

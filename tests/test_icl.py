@@ -1,5 +1,4 @@
 import json
-import re
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -10,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frsicl.config import WorldConfig
-from frsicl.env import init_world, observe, run_episode
+from frsicl.env import init_world, run_episode
 from frsicl.features import feature_vector
 from frsicl.icl import (MAX_RETRIES, TOP_K_EXAMPLES, BackendError,
                         ExperiencePool, ExperienceRecord, HttpBackend,

@@ -1,5 +1,5 @@
-"""Every name a module under src/frsicl imports is used in that module,
-and importing the package does not load the HTTP stack.
+"""Every name a module under src/frsicl, tests or scripts imports is used
+in that module, and importing the package does not load the HTTP stack.
 
 Package `__init__.py` files are skipped: their imports are re-exports.
 """
@@ -10,7 +10,8 @@ import pathlib
 import subprocess
 import sys
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "frsicl"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "frsicl"
 
 
 def unused_imports(source: str):
@@ -35,8 +36,9 @@ def test_detector_sees_unused_and_used_names():
 
 
 def test_no_unused_imports_in_src():
-    found = [f"{path.relative_to(SRC)}:{line}: {name}"
-             for path in sorted(SRC.rglob("*.py")) if path.name != "__init__.py"
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for tree in (SRC, ROOT / "tests", ROOT / "scripts")
+             for path in sorted(tree.rglob("*.py")) if path.name != "__init__.py"
              for line, name in unused_imports(path.read_text(encoding="utf-8"))]
     assert found == []
 

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib
 import math
 import struct
 import tracemalloc
@@ -10,16 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frsicl.config import WorldConfig
-from frsicl.env import init_world
+from frsicl.env import init_world, observe, step
+from frsicl.features import feature_vector
 from frsicl.ppo import (AdamState, Minibatch, PpoConfig, adam_update,
                         evaluate, forward, gae_advantages, init_params,
                         load_params, log_softmax, normalize_advantages,
                         ppo_loss_and_grads, sample_action, save_params,
                         train, velocity_from_bin)
 from frsicl.ppo.io import MAGIC, ParamsFileError
-from frsicl.ppo.loss import ppo_loss
 from frsicl.ppo.net import N_VELOCITY_BINS, PARAM_ORDER
-from frsicl.ppo.train import default_world_factory
+from frsicl.ppo.train import PpoPolicy, default_world_factory
 
 from oracles import central_difference_grad, per_array_adam
 
@@ -265,7 +266,7 @@ class TestBackward:
             batch = random_batch(params, B=4, rng=rng)
             _, ga = ppo_loss_and_grads(params, batch, 0.2, 0.5, 0.01)
             gn = central_difference_grad(
-                lambda p: ppo_loss(p, batch, 0.2, 0.5, 0.01), params)
+                lambda p: ppo_loss_and_grads(p, batch, 0.2, 0.5, 0.01)[0], params)
             err = np.linalg.norm(ga - gn) / max(
                 np.linalg.norm(ga) + np.linalg.norm(gn), 1e-8)
             assert err < 1e-4
@@ -530,3 +531,59 @@ class TestSharedLinkBudgets:
                 assert rng.gen.integers(0, 10**9, 7).tolist() == \
                     expected.gen.integers(0, 10**9, 7).tolist()
                 assert rng.gen.bit_generator.state == expected.gen.bit_generator.state
+
+
+# SHA-256 of the artefacts of train(WorldConfig(n_steps=40),
+# PpoConfig(episodes=20, steps_per_episode=25), seed=2), taken when
+# training still ran its own episode loop.
+TRUNCATED_PARAMS_SHA256 = "ede62d47af0e5d030485c54190e7675e861c5c71a917b3f9a5fec4193245ebd4"
+TRUNCATED_CURVE_SHA256 = "5cf3d0a5bfcedb46890108758d2fb4ec405362a9bde00dd92803a2ee0dd20e50"
+
+# the module: the package's `train` is the function
+ppo_train = importlib.import_module("frsicl.ppo.train")
+
+
+class TestTrainingEpisodes:
+    def test_truncated_training_is_pinned(self, tmp_path, monkeypatch):
+        horizons = []
+        real = ppo_train.run_episode
+
+        def spy(world, policy):
+            summary = real(world, policy)
+            horizons.append((world.cfg.n_steps, len(world.log), len(policy.trajectory)))
+            return summary
+
+        monkeypatch.setattr(ppo_train, "run_episode", spy)
+        result = train(WorldConfig(n_steps=40), PpoConfig(episodes=20, steps_per_episode=25),
+                       seed=2, curve_path=str(tmp_path / "learning_curve.csv"))
+        save_params(result.params, str(tmp_path / "ppo_params.bin"))
+        assert sha256(tmp_path / "ppo_params.bin") == TRUNCATED_PARAMS_SHA256
+        assert sha256(tmp_path / "learning_curve.csv") == TRUNCATED_CURVE_SHA256
+        assert horizons == [(25, 25, 25)] * 20
+
+    def test_trajectory_holds_the_decided_actions(self):
+        cfg = WorldConfig(n_sensors=4, n_steps=20)
+        params = init_params(4, 12, (8, 8), np.random.default_rng(6))
+        policy = PpoPolicy(params, cfg, greedy=False)
+        world = init_world(cfg, seed=3)
+        for frame in range(cfg.n_steps):
+            obs = observe(world)
+            action = policy.decide(obs, world.policy_rng)
+            assert len(policy.trajectory) == frame + 1
+            x, a_s, a_v, logp, value = policy.trajectory[-1]
+            assert action.sensor == a_s + 1
+            assert action.velocity_mps == velocity_from_bin(a_v, cfg.v_max_mps)
+            assert x.tobytes() == feature_vector(obs, cfg).tobytes()
+            ls, lv, v, _ = forward(params, x)
+            assert logp == log_softmax(ls.ravel())[a_s] + log_softmax(lv.ravel())[a_v]
+            assert value == float(v[0])
+            step(world, action)
+        assert len({a_v for _, _, a_v, _, _ in policy.trajectory}) > 1
+
+    def test_greedy_policy_keeps_no_trajectory(self):
+        cfg = WorldConfig(n_sensors=4, n_steps=20)
+        params = init_params(4, 12, (8, 8), np.random.default_rng(6))
+        policy = PpoPolicy(params, cfg)
+        world = init_world(cfg, seed=3)
+        policy.decide(observe(world), world.policy_rng)
+        assert policy.trajectory == []
