@@ -43,7 +43,11 @@ def _parse_list(flag: str, text: str, kind=str) -> list:
 
 
 def _parse_seeds(text: str) -> List[int]:
-    return _parse_list("--seed", text, int)
+    seeds = _parse_list("--seed", text, int)
+    negative = [seed for seed in seeds if seed < 0]
+    if negative:
+        raise ConfigError(f"--seed must be >= 0, got {negative[0]}")
+    return seeds
 
 
 def _single_seed(text: str) -> int:

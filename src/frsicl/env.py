@@ -7,6 +7,7 @@ import math
 import numbers
 import sys
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Tuple
 
@@ -26,7 +27,8 @@ class ActionError(ValueError):
     """An action names no sensor of the world, or a non-finite velocity."""
 
 
-Link = Tuple[np.ndarray, np.ndarray, np.ndarray]
+# (distance, path loss, SNR, SNR >= snr_threshold_db)
+Link = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 # One link-budget call covers at most this many (position, sensor) pairs:
@@ -35,7 +37,7 @@ MAX_BATCH_LINKS = 4096
 
 
 class LinkMemo(dict):
-    """uav.pos -> read-only (distance, path loss, SNR) arrays, for worlds
+    """uav.pos -> read-only (distance, path loss, SNR, in range) arrays, for worlds
     with one `pos` and one `cfg`. A batch of new positions that would take
     it past `capacity` empties it first: capacity 0 keeps only the newest
     batch."""
@@ -62,8 +64,15 @@ class SensorView(NamedTuple):
 @dataclass
 class World:
     """One episode's state. observe and attempt_collection read the link
-    budgets at uav.pos from link_memo; a miss computes them together with
-    the positions ahead (_fill_links)."""
+    budgets at uav.pos, and whether each sensor's SNR reaches the
+    threshold, from link_memo; a miss computes them together with the
+    positions ahead (_fill_links).
+
+    The step log is columnar: entry k of sensor_log, velocity_log,
+    success_log and avg_aoi_log, and row k of aoi_log (n_steps, N), is
+    frame k; `frames` is the length of the lists. `log` is a read-only
+    view that builds frame k's StepRecord on demand.
+    """
 
     cfg: WorldConfig
     t_s: float
@@ -74,16 +83,57 @@ class World:
     battery_j: np.ndarray
     env_rng: RngStream
     policy_rng: RngStream
-    log: List[StepRecord] = field(default_factory=list)
+    aoi_log: np.ndarray = field(repr=False)
+    sensor_log: List[int] = field(default_factory=list, repr=False)
+    velocity_log: List[float] = field(default_factory=list, repr=False)  # clamped
+    success_log: List[bool] = field(default_factory=list, repr=False)
+    avg_aoi_log: List[float] = field(default_factory=list, repr=False)
     # private to this world unless worlds with one pos and cfg share it (see
     # ppo.train.default_world_factory). Code that moves a sensor must clear
     # it, and must not move one of a world that shares it.
     link_memo: LinkMemo = field(default_factory=LinkMemo, repr=False)
 
     @property
+    def frames(self) -> int:
+        return len(self.sensor_log)
+
+    @property
+    def log(self) -> "StepLog":
+        return StepLog(self)
+
+    @property
     def sensors(self) -> Tuple[SensorView, ...]:
         """Read-only (id, pos) records of the layout."""
         return tuple(SensorView(j, tuple(p)) for j, p in enumerate(self.pos.tolist(), 1))
+
+
+class StepLog(Sequence):
+    """Read-only sequence of a world's StepRecords, built from its columns
+    on demand; equal to any list or StepLog of equal records."""
+
+    __slots__ = ("_world",)
+
+    def __init__(self, world: World):
+        self._world = world
+
+    def __len__(self) -> int:
+        return self._world.frames
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        w = self._world
+        k = range(w.frames)[k]  # IndexError past either end
+        return StepRecord(step=k, action=Action(w.sensor_log[k], w.velocity_log[k]),
+                          success=w.success_log[k], avg_aoi_s=w.avg_aoi_log[k],
+                          per_sensor_aoi=array("d", w.aoi_log[k].tobytes()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (StepLog, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
 
 
 def _orbit_pos(cfg: WorldConfig, arc_s: float):
@@ -105,7 +155,8 @@ def init_world(cfg: WorldConfig, seed: Optional[int] = None) -> World:
     uav = UavState(pos=_orbit_pos(cfg, 0.0))
     return World(cfg=cfg, t_s=0.0, uav=uav, pos=pos, aoi_s=np.zeros(n),
                  battery_j=np.full(n, cfg.battery_j, dtype=np.float64),
-                 env_rng=rng.substream("env"), policy_rng=rng.substream("policy"))
+                 env_rng=rng.substream("env"), policy_rng=rng.substream("policy"),
+                 aoi_log=np.empty((cfg.n_steps, n)))
 
 
 def advance_uav(world: World, velocity: float) -> None:
@@ -118,7 +169,8 @@ def advance_uav(world: World, velocity: float) -> None:
 
 
 def _link_at_uav(world: World) -> Link:
-    """(distance, path loss, SNR) to every sensor from the UAV's position."""
+    """(distance, path loss, SNR, SNR >= threshold) to every sensor from the
+    UAV's position."""
     link = world.link_memo.get(world.uav.pos)
     return _fill_links(world) if link is None else link
 
@@ -136,7 +188,7 @@ def _fill_links(world: World) -> Link:
     finds its position under the same key.
     """
     cfg, uav, memo = world.cfg, world.uav, world.link_memo
-    ahead = min(uav.run, cfg.n_steps - len(world.log) - 1,
+    ahead = min(uav.run, cfg.n_steps - world.frames - 1,
                 MAX_BATCH_LINKS // cfg.n_sensors - 1)
     positions = [uav.pos]
     arc, stride = uav.arc_s, uav.velocity_mps * cfg.dt_s
@@ -146,16 +198,18 @@ def _fill_links(world: World) -> Link:
         if pos in memo or pos == positions[-1]:  # velocity 0
             break
         positions.append(pos)
-    link = channel.link_budget(np.array(positions), world.pos, cfg)
+    distance, path_loss, snr = channel.link_budget(np.array(positions), world.pos, cfg)
+    link = distance, path_loss, snr, snr >= cfg.snr_threshold_db
     memo.put(positions, link)
-    return link[0][0], link[1][0], link[2][0]
+    return tuple(a[0] for a in link)
 
 
 def attempt_collection(world: World, sensor_id: int) -> bool:
     """One beacon/data/ack exchange at the UAV's current (post-move) position.
 
     A sensor is eligible only if it can afford one transmission; every
-    attempt costs e_tx_j. In threshold mode success is deterministic;
+    attempt costs e_tx_j. In threshold mode success is deterministic (the
+    memo's SNR >= threshold, which is channel.success_probability == 1);
     logistic mode draws a Bernoulli from the env substream.
     """
     cfg = world.cfg
@@ -163,10 +217,10 @@ def attempt_collection(world: World, sensor_id: int) -> bool:
     if world.battery_j[j] < cfg.e_tx_j:
         return False
     world.battery_j[j] -= cfg.e_tx_j
-    p = channel.success_probability(_link_at_uav(world)[2][j], cfg)
+    _, _, snr, in_range = _link_at_uav(world)
     if cfg.success_model == "threshold":
-        return bool(p >= 1.0)
-    return bool(world.env_rng.random() < p)
+        return bool(in_range[j])
+    return bool(world.env_rng.random() < channel.success_probability(snr[j], cfg))
 
 
 def update_aoi(world: World, selected: int, success: bool) -> None:
@@ -204,10 +258,12 @@ def check_action(cfg: WorldConfig, action: Action) -> Tuple[int, float]:
     return int(s), float(v)
 
 
-def step(world: World, action: Action) -> StepRecord:
-    """Advance one frame: check, clamp, move, collect, age, log. Fixed order."""
+def step(world: World, action: Action) -> None:
+    """Advance one frame: check, clamp, move, collect, age, log. Fixed order.
+    Frame k's entry of the log columns is written last; world.log[-1] is
+    its StepRecord."""
     cfg = world.cfg
-    k = len(world.log)
+    k = world.frames
     if k >= cfg.n_steps:
         raise HorizonError(f"episode horizon of {cfg.n_steps} steps exceeded")
     sensor, v = check_action(cfg, action)
@@ -216,21 +272,23 @@ def step(world: World, action: Action) -> StepRecord:
     success = attempt_collection(world, sensor)
     update_aoi(world, sensor, success)
     world.t_s += cfg.dt_s
-    per_sensor = array("d", world.aoi_s.tobytes())
-    record = StepRecord(step=k, action=Action(sensor, v), success=success,
-                        avg_aoi_s=sum(per_sensor) / len(per_sensor), per_sensor_aoi=per_sensor)
-    world.log.append(record)
-    return record
+    row = world.aoi_log[k]
+    row[:] = world.aoi_s
+    world.sensor_log.append(sensor)
+    world.velocity_log.append(v)
+    world.success_log.append(success)
+    # left to right, as sum() adds: a numpy row sum is pairwise
+    world.avg_aoi_log.append(sum(memoryview(row)) / len(row))
 
 
 def observe(world: World) -> Observation:
     """Frame-start snapshot with link budgets at the pre-move UAV position;
     `aoi_s` is a copy, which step() leaves at the frame-start values."""
     cfg = world.cfg
-    distance, path_loss, snr = _link_at_uav(world)
+    distance, path_loss, snr, in_range = _link_at_uav(world)
     eligible = world.battery_j >= cfg.e_tx_j
     if cfg.success_model == "threshold":
-        eligible &= snr >= cfg.snr_threshold_db
+        eligible &= in_range
     return Observation(t_s=world.t_s, uav_pos=world.uav.pos,
                        aoi_s=world.aoi_s.copy(), snr_db=snr,
                        path_loss_db=path_loss, distance_m=distance,
@@ -238,10 +296,8 @@ def observe(world: World) -> Observation:
 
 
 def summarize(world: World, run_id: str = "run") -> RunSummary:
-    log = world.log
-    n = len(log)
-    frames = np.frombuffer(b"".join(rec.per_sensor_aoi for rec in log)).reshape(
-        n, world.cfg.n_sensors)
+    n = world.frames
+    frames = world.aoi_log[:n]
     # Frame by frame, the order in which sum() adds: numpy reduces axis 0 of
     # a C-contiguous array row by row, but adds up a lone column pairwise.
     if n and world.cfg.n_sensors == 1:
@@ -250,10 +306,10 @@ def summarize(world: World, run_id: str = "run") -> RunSummary:
         total = frames.sum(axis=0)
     return RunSummary(
         run_id=run_id,
-        time_avg_aoi_s=sum(rec.avg_aoi_s for rec in log) / n if n else 0.0,
+        time_avg_aoi_s=sum(world.avg_aoi_log) / n if n else 0.0,
         per_sensor_mean_aoi=(total / max(n, 1)).tolist(),
-        per_sensor_final_aoi=(log[-1].per_sensor_aoi if n else total).tolist(),
-        success_count=sum(1 for rec in log if rec.success),
+        per_sensor_final_aoi=(frames[-1] if n else total).tolist(),
+        success_count=world.success_log.count(True),
         n_steps=n,
     )
 
@@ -262,13 +318,12 @@ def run_episode(world: World, policy, run_id: str = "run") -> RunSummary:
     """observe -> decide -> step for the full horizon.
 
     A policy may expose an optional feedback(observation, record) hook,
-    called after each frame.
+    called after each frame with the frame's StepRecord.
     """
     feedback = getattr(policy, "feedback", None)
     for _ in range(world.cfg.n_steps):
         obs = observe(world)
-        action = policy.decide(obs, world.policy_rng)
-        record = step(world, action)
+        step(world, policy.decide(obs, world.policy_rng))
         if feedback is not None:
-            feedback(obs, record)
+            feedback(obs, world.log[-1])
     return summarize(world, run_id)

@@ -3,11 +3,13 @@ and replay verification of published step logs."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,13 +77,69 @@ def build_policy(spec: ExperimentSpec):
 @dataclass
 class RunArtifacts:
     summaries: List[RunSummary]
-    step_rows: List[List[str]]
     sensor_rows: List[List[str]]
     summary_rows: List[List[str]]
 
 
-def _execute_runs(spec: ExperimentSpec) -> RunArtifacts:
-    artifacts = RunArtifacts([], [], [], [])
+class _CsvFile:
+    """A CSV file written under a temporary name, a block of rows at a
+    time, and renamed to `path` when the `with` block ends; if the block
+    raises, the partial file is removed, and so is its directory if this
+    made it and nothing else is in it. The file and directory are made
+    with the first block."""
+
+    def __init__(self, path: str, header: str):
+        self.path = path
+        self.header = header
+        self._partial = path + ".partial"
+        self._made_dir = None
+        self._fh = None
+
+    def write(self, rows: Iterable[Sequence[str]]) -> None:
+        try:
+            if self._fh is None:
+                directory = os.path.dirname(self.path) or "."
+                if not os.path.isdir(directory):
+                    os.makedirs(directory)
+                    self._made_dir = directory
+                self._fh = open(self._partial, "w", newline="", encoding="utf-8")
+                self._fh.write(self.header + "\n")
+                self._writer = csv.writer(self._fh, lineterminator="\n")
+            self._writer.writerows(rows)
+            self._fh.flush()
+        except OSError as exc:
+            raise IOError(f"cannot write {self.path}: {exc}") from exc
+
+    def __enter__(self) -> "_CsvFile":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.write(())
+            try:
+                self._fh.close()
+                os.replace(self._partial, self.path)
+            except OSError as exc:
+                raise IOError(f"cannot write {self.path}: {exc}") from exc
+        elif self._fh is not None:
+            self._fh.close()
+            with contextlib.suppress(OSError):
+                os.remove(self._partial)
+                if self._made_dir is not None:
+                    os.rmdir(self._made_dir)
+
+
+def _step_rows(run_id: str, world) -> Iterator[Tuple[str, ...]]:
+    """steps.csv rows of a finished run, formatted from its log columns."""
+    return zip(repeat(run_id), map(str, range(world.frames)), map(str, world.sensor_log),
+               map(fmt, world.velocity_log),
+               ("1" if success else "0" for success in world.success_log),
+               map(fmt, world.avg_aoi_log))
+
+
+def _execute_runs(spec: ExperimentSpec, steps: _CsvFile) -> RunArtifacts:
+    """Every replicate run; a run's steps.csv rows go to `steps` as it ends."""
+    artifacts = RunArtifacts([], [], [])
     for seed in spec.seeds:
         run_id = f"{spec.policy}-s{seed}"
         world = init_world(spec.world, seed=seed)
@@ -90,12 +148,7 @@ def _execute_runs(spec: ExperimentSpec) -> RunArtifacts:
         summary = run_episode(world, policy, run_id=run_id)
         summary.wall_ms = (time.perf_counter() - started) * 1000.0
         artifacts.summaries.append(summary)
-        for rec in world.log:
-            artifacts.step_rows.append([
-                run_id, str(rec.step), str(rec.action.sensor),
-                fmt(rec.action.velocity_mps), "1" if rec.success else "0",
-                fmt(rec.avg_aoi_s),
-            ])
+        steps.write(_step_rows(run_id, world))
         for j, ((x, y), mean, final) in enumerate(zip(
                 world.pos.tolist(), summary.per_sensor_mean_aoi,
                 summary.per_sensor_final_aoi), start=1):
@@ -114,22 +167,17 @@ def _execute_runs(spec: ExperimentSpec) -> RunArtifacts:
 
 
 def _write_csv(path: str, header: str, rows: Sequence[Sequence[str]]) -> None:
-    try:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(header + "\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerows(rows)
-    except OSError as exc:
-        raise IOError(f"cannot write {path}: {exc}") from exc
+    with _CsvFile(path, header) as out:
+        out.write(rows)
 
 
 def run_experiment(spec: ExperimentSpec) -> List[RunSummary]:
     """One episode per replicate seed; writes steps/sensors/summary CSVs and
-    the world config (world.json) that replay reads back."""
-    artifacts = _execute_runs(spec)
-    _write_csv(os.path.join(spec.out_dir, "steps.csv"),
-               STEPS_HEADER, artifacts.step_rows)
+    the world config (world.json) that replay reads back. Each run's steps
+    are written as it ends, so memory holds one episode's log at a time; a
+    run that fails leaves no steps.csv."""
+    with _CsvFile(os.path.join(spec.out_dir, "steps.csv"), STEPS_HEADER) as steps:
+        artifacts = _execute_runs(spec, steps)
     _write_csv(os.path.join(spec.out_dir, "sensors.csv"),
                SENSORS_HEADER, artifacts.sensor_rows)
     _write_csv(os.path.join(spec.out_dir, "summary.csv"),
@@ -252,15 +300,16 @@ def replay_steps_csv(path: str, cfg: WorldConfig) -> int:
         rows.sort(key=lambda r: r[0])
         for k, action, row in rows:
             try:
-                rec = env_step(world, action)
+                env_step(world, action)
             except ActionError as exc:
                 raise ReplayDivergence(
                     f"replay divergence at step {k} of {run_id}: {exc}") from exc
-            if fmt(rec.avg_aoi_s) != row["avg_aoi_s"]:
+            avg_aoi = fmt(world.avg_aoi_log[-1])
+            if avg_aoi != row["avg_aoi_s"]:
                 raise ReplayDivergence(
                     f"replay divergence at step {k} of {run_id}: "
-                    f"avg_aoi_s {fmt(rec.avg_aoi_s)} != logged {row['avg_aoi_s']}")
-            if ("1" if rec.success else "0") != row["success"]:
+                    f"avg_aoi_s {avg_aoi} != logged {row['avg_aoi_s']}")
+            if ("1" if world.success_log[-1] else "0") != row["success"]:
                 raise ReplayDivergence(
                     f"replay divergence at step {k} of {run_id}: success flag")
     return len(runs)

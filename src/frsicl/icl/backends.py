@@ -26,6 +26,8 @@ MOCK_STRATEGIES = ("max-aoi", "nearest", "invalid")
 # reply is one small JSON object.
 TEMPERATURE = 0.0
 MAX_TOKENS = 64
+# Largest reply body read; a good one is a few hundred bytes.
+MAX_REPLY_BYTES = 64 * 1024
 
 _TABLE_ROW = re.compile(
     r"^(\d+) \| ([0-9.]+) \| (-?[0-9.]+) \| (yes|no)$", re.MULTILINE)
@@ -72,21 +74,36 @@ class HttpBackend:
         }
         try:
             response = self.session.post(url, json=body, headers=headers,
-                                         timeout=self.timeout_s)
+                                         timeout=self.timeout_s, stream=True)
+            try:
+                if not 200 <= response.status_code < 300:
+                    raise BackendError(f"status {response.status_code}")
+                reply = _read_capped(response)
+            finally:
+                response.close()
         except requests.Timeout as exc:
             raise BackendError(f"timeout after {self.timeout_s} s") from exc
         except requests.RequestException as exc:
             raise BackendError(f"transport error: {exc}") from exc
-        if not 200 <= response.status_code < 300:
-            raise BackendError(f"status {response.status_code}")
         try:
-            content = response.json()["choices"][0]["message"]["content"]
+            content = json.loads(reply)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise BackendError(f"malformed completion body: {exc}") from exc
         if not isinstance(content, str):
             raise BackendError("malformed completion body: content is "
                                f"{type(content).__name__}, not a string")
         return content
+
+
+def _read_capped(response) -> bytes:
+    """The body of a streamed reply, or BackendError past MAX_REPLY_BYTES."""
+    chunks, size = [], 0
+    for chunk in response.iter_content(chunk_size=16 * 1024):
+        chunks.append(chunk)
+        size += len(chunk)
+        if size > MAX_REPLY_BYTES:
+            raise BackendError(f"reply body over {MAX_REPLY_BYTES} bytes")
+    return b"".join(chunks)
 
 
 def _parse_step_prompt(user: str):

@@ -29,13 +29,13 @@ def _eligible_or_all(values: np.ndarray, eligible: np.ndarray, fill: float) -> n
 def nearest_neighbor_decide(obs: Observation, v_max: float) -> Action:
     """Poll the horizontally nearest sensor (among eligible ones, if any)."""
     distance = _eligible_or_all(obs.distance_m, obs.eligible, np.inf)
-    return Action(sensor=int(np.argmin(distance)) + 1, velocity_mps=v_max)
+    return Action(sensor=int(distance.argmin()) + 1, velocity_mps=v_max)
 
 
 def max_aoi_decide(obs: Observation, v_max: float) -> Action:
     """Poll the stalest sensor (among eligible ones, if any)."""
     aoi = _eligible_or_all(obs.aoi_s, obs.eligible, -np.inf)
-    return Action(sensor=int(np.argmax(aoi)) + 1, velocity_mps=v_max)
+    return Action(sensor=int(aoi.argmax()) + 1, velocity_mps=v_max)
 
 
 class NearestNeighborPolicy:

@@ -129,7 +129,7 @@ def train(cfg: WorldConfig, ppo_cfg: PpoConfig, seed: int,
         policy.trajectory.clear()
         run_episode(world, policy)
         feats, a_s, a_v, logps, values = map(np.array, zip(*policy.trajectory))
-        rewards = -np.array([rec.avg_aoi_s for rec in world.log])
+        rewards = -np.array(world.avg_aoi_log)
         adv, rets = gae_advantages(rewards, values, ppo_cfg.gamma,
                                    ppo_cfg.gae_lambda)
         adv = normalize_advantages(adv)

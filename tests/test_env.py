@@ -1,5 +1,6 @@
 import copy
 import math
+import tracemalloc
 from array import array
 
 import numpy as np
@@ -273,7 +274,8 @@ class TestOneLinkBudgetPerFrame:
         for sensor, v in actions:
             observe(w)
             eligible = w.battery_j[sensor - 1] >= cfg.e_tx_j
-            rec = step(w, Action(sensor, v))
+            step(w, Action(sensor, v))
+            rec = w.log[-1]
             _, _, snr = channel.link_budget(w.uav.pos, w.pos[sensor - 1], cfg)
             p = channel.success_probability(snr, cfg)
             if not eligible:
@@ -313,8 +315,8 @@ class TestUpdateAoi:
 class TestStep:
     def test_velocity_clamped_in_log(self):
         w = init_world(CFG, seed=0)
-        rec = step(w, Action(sensor=1, velocity_mps=99.0))
-        assert rec.action.velocity_mps == 15.0
+        step(w, Action(sensor=1, velocity_mps=99.0))
+        assert w.log[-1].action.velocity_mps == 15.0 and w.velocity_log == [15.0]
 
     def test_horizon_error(self):
         w = init_world(CFG, seed=0)
@@ -327,11 +329,14 @@ class TestStep:
         a = init_world(CFG, seed=4)
         b = copy.deepcopy(a)
         action = Action(sensor=3, velocity_mps=7.0)
-        assert step(a, action) == step(b, action)
+        step(a, action)
+        step(b, action)
+        assert a.log[-1] == b.log[-1]
 
     def test_avg_is_mean_of_per_sensor(self):
         w = init_world(CFG, seed=1)
-        rec = step(w, Action(sensor=2, velocity_mps=10.0))
+        step(w, Action(sensor=2, velocity_mps=10.0))
+        rec = w.log[-1]
         assert abs(rec.avg_aoi_s
                    - sum(rec.per_sensor_aoi) / len(rec.per_sensor_aoi)) < 1e-12
 
@@ -339,7 +344,8 @@ class TestStep:
 class TestActionCheck:
     def test_numpy_integer_sensor_accepted(self):
         w = init_world(CFG, seed=0)
-        rec = step(w, Action(sensor=np.int64(3), velocity_mps=np.float64(7.0)))
+        step(w, Action(sensor=np.int64(3), velocity_mps=np.float64(7.0)))
+        rec = w.log[-1]
         assert type(rec.action.sensor) is int and rec.action.sensor == 3
         assert type(rec.action.velocity_mps) is float
 
@@ -425,14 +431,115 @@ class TestSummarize:
         w = init_world(cfg, seed=0)
         # magnitudes from 1e-3 to 1e4, so the order of the additions shows
         rows = rng.random((n_frames, n_sensors)) * 10.0 ** rng.uniform(-3, 4, (n_frames, n_sensors))
-        w.log = [StepRecord(step=k, action=Action(1, 0.0), success=False,
-                            avg_aoi_s=float(row.mean()), per_sensor_aoi=array("d", row.tobytes()))
-                 for k, row in enumerate(rows)]
+        # the frames fill the first rows of the log columns; the rows past
+        # them are NaN, which summarize must not read
+        w.aoi_log[:n_frames] = rows
+        w.aoi_log[n_frames:] = np.nan
+        w.sensor_log = [1] * n_frames
+        w.velocity_log = [0.0] * n_frames
+        w.success_log = [False] * n_frames
+        w.avg_aoi_log = [float(row.mean()) for row in rows]
         summary = summarize(w)
         mean, final = frame_by_frame_per_sensor_aoi(w.log, n_sensors)
         assert np.array(summary.per_sensor_mean_aoi).tobytes() == np.array(mean).tobytes()
         assert np.array(summary.per_sensor_final_aoi).tobytes() == np.array(final).tobytes()
         assert summary.n_steps == n_frames
+
+
+ACTIONS = st.lists(st.tuples(st.one_of(st.integers(1, 3), st.integers(1, 50)),
+                             st.one_of(st.sampled_from([0.0, 3.75, 7.5, 15.0]),
+                                       st.floats(-5.0, 20.0))),
+                   min_size=1, max_size=40)
+
+
+def parent_step_record(w, k: int, sensor: int, v: float, success: bool) -> StepRecord:
+    """The StepRecord that step built and appended before the log became
+    columnar, from the world's state right after frame k."""
+    per_sensor = array("d", w.aoi_s.tobytes())
+    return StepRecord(step=k, action=Action(sensor, min(max(v, w.cfg.v_min_mps), w.cfg.v_max_mps)),
+                      success=success, avg_aoi_s=sum(per_sensor) / len(per_sensor),
+                      per_sensor_aoi=per_sensor)
+
+
+class TestColumnarLog:
+    @pytest.mark.parametrize("model", ["threshold", "logistic"])
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 50),
+           area=st.sampled_from([100.0, 400.0, 1500.0]), actions=ACTIONS)
+    @settings(max_examples=60, deadline=None)
+    def test_eligible_and_success_follow_a_fresh_link_budget(self, model, seed, n, area, actions):
+        # two attempts per sensor: the polled sensors run dry
+        cfg = CFG.replace(success_model=model, n_sensors=n, area_size_m=area,
+                          n_steps=len(actions), battery_j=0.1)
+        w = init_world(cfg, seed=seed)
+        twin_rng = init_world(cfg, seed=seed).env_rng
+        for k, (sensor, v) in enumerate(actions):
+            sensor = (sensor - 1) % n + 1
+            obs = observe(w)
+            _, _, snr = channel.link_budget(w.uav.pos, w.pos, cfg)
+            expected = w.battery_j >= cfg.e_tx_j
+            if model == "threshold":
+                expected &= snr >= cfg.snr_threshold_db
+            assert obs.eligible.tolist() == expected.tolist()
+            affordable = w.battery_j[sensor - 1] >= cfg.e_tx_j
+            step(w, Action(sensor, v))
+            p = channel.success_probability(
+                channel.link_budget(w.uav.pos, w.pos[sensor - 1], cfg)[2], cfg)
+            if not affordable:
+                success = False
+            elif model == "threshold":
+                success = bool(p >= 1.0)
+            else:
+                success = bool(twin_rng.random() < p)
+            assert w.success_log[k] is success
+
+    @pytest.mark.parametrize("model", ["threshold", "logistic"])
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 50), actions=ACTIONS)
+    @settings(max_examples=40, deadline=None)
+    def test_log_equals_the_records_step_built(self, model, seed, n, actions):
+        cfg = CFG.replace(success_model=model, n_sensors=n, n_steps=len(actions),
+                          battery_j=0.1)
+        w = init_world(cfg, seed=seed)
+        expected = []
+        for k, (sensor, v) in enumerate(actions):
+            sensor = (sensor - 1) % n + 1
+            step(w, Action(sensor, v))
+            expected.append(parent_step_record(w, k, sensor, v, w.success_log[k]))
+            assert w.log[-1] == expected[-1]
+        assert w.log == expected and list(w.log) == expected and len(w.log) == w.frames
+        assert all(type(rec.per_sensor_aoi) is array and rec.per_sensor_aoi.typecode == "d"
+                   and type(rec.avg_aoi_s) is float for rec in w.log)
+        assert w.log[1:3] == expected[1:3] and w.log[-len(actions)] == expected[0]
+        with pytest.raises(IndexError):
+            w.log[len(actions)]
+
+    def test_log_is_read_only(self):
+        w = init_world(CFG, seed=0)
+        step(w, Action(1, 5.0))
+        with pytest.raises(TypeError):
+            w.log[0] = w.log[0]
+        with pytest.raises(AttributeError):
+            w.log.append(w.log[0])
+
+    def test_log_bytes_per_frame_at_1000_sensors(self):
+        # the growth between two horizons, over the frames between them:
+        # layout, link memo and RNG state are the same in both worlds
+        n, short, long = 1000, 50, 250
+
+        def traced_bytes(t):
+            cfg = CFG.replace(n_sensors=n, n_steps=t)
+            tracemalloc.start()
+            try:
+                w = init_world(cfg, seed=0)
+                for _ in range(t):
+                    observe(w)
+                    step(w, Action(1, 0.0))
+                return tracemalloc.get_traced_memory()[0], w
+            finally:
+                tracemalloc.stop()
+
+        traced_bytes(1)  # lazy imports and first-use allocations
+        (a, _), (b, _) = traced_bytes(short), traced_bytes(long)
+        assert (b - a) / (long - short) <= 8 * n + 128
 
 
 class TestInvariants:
@@ -443,7 +550,8 @@ class TestInvariants:
         for _ in range(30):
             frame_start = w.t_s
             obs = observe(w)
-            rec = step(w, policy.decide(obs, w.policy_rng))
+            step(w, policy.decide(obs, w.policy_rng))
+            rec = w.log[-1]
             if rec.success:
                 last_gen_s[rec.action.sensor - 1] = frame_start
             for j, aoi in enumerate(rec.per_sensor_aoi):

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from frsicl import harness
 from frsicl.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, cli_main
 from frsicl.config import ConfigError, WorldConfig, load_world_config
 from frsicl.harness import (ExperimentSpec, ReplayDivergence, fmt,
@@ -110,6 +111,25 @@ class TestRunExperiment:
         log = (tmp_path / "out" / "exchanges-icl-s0.log").read_text().splitlines()
         assert len(log) == 30
         json.loads(log[0])
+
+    def test_each_run_streams_its_steps_and_a_failing_run_leaves_none(
+            self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        real, written = harness.build_policy, []
+
+        def build(spec):
+            # steps.csv.partial holds the runs that ended before this one
+            partial = out / "steps.csv.partial"
+            written.append(len(read_csv(partial)) if partial.exists() else None)
+            if len(written) == 3:
+                raise ConfigError("the third run fails")
+            return real(spec)
+
+        monkeypatch.setattr(harness, "build_policy", build)
+        with pytest.raises(ConfigError, match="third run"):
+            run_experiment(spec_for(tmp_path, seeds=(0, 1, 2)))
+        assert written == [None, 1 + 30, 1 + 2 * 30]
+        assert not out.exists()
 
     def test_empty_seed_list_header_only(self, tmp_path):
         spec = spec_for(tmp_path, seeds=())
@@ -435,6 +455,27 @@ class TestOneSeedCommands:
         assert "--seed takes one seed here, got '3,4'" in capsys.readouterr().err
         assert cli_main(["eval-ppo", "--seed", "3", "--params", params]) == EXIT_OK
         assert "ppo-s3" in capsys.readouterr().out
+
+
+class TestNegativeSeed:
+    """A negative seed is a validation error that names --seed, raised
+    before any output directory is made."""
+
+    @pytest.mark.parametrize("command,seed", [
+        ("train-ppo", "-1"), ("run", "-3"), ("run", "0,-3"), ("eval-ppo", "-5"),
+        ("sweep", "-2")])
+    def test_exits_1_naming_the_flag(self, tmp_path, capsys, command, seed):
+        out = tmp_path / "out"
+        argv = {"train-ppo": ["train-ppo", "--episodes", "1", "--out-dir", str(out)],
+                "run": ["run", "--policy", "maxaoi", "--out-dir", str(out)],
+                "eval-ppo": ["eval-ppo", "--params", _saved_params(tmp_path, 10, 24)],
+                "sweep": ["sweep", "--policies", "maxaoi", "--counts", "5",
+                          "--out-dir", str(out)]}[command]
+        assert cli_main(argv + ["--seed", seed]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"--seed must be >= 0, got {seed.split(',')[-1]}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 def _params_file(tmp_path, header, payload):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frsicl.config import WorldConfig
-from frsicl.env import init_world, run_episode
+from frsicl.env import init_world, observe, run_episode
 from frsicl.features import feature_vector
 from frsicl.icl import (MAX_RETRIES, TOP_K_EXAMPLES, BackendError,
                         ExperiencePool, ExperienceRecord, HttpBackend,
@@ -17,7 +17,7 @@ from frsicl.icl import (MAX_RETRIES, TOP_K_EXAMPLES, BackendError,
                         build_step_prompt, build_system_prompt, icl_decide,
                         make_backend, parse_action)
 from frsicl.icl import parsing
-from frsicl.icl.backends import _parse_step_prompt
+from frsicl.icl.backends import MAX_REPLY_BYTES, _parse_step_prompt
 from frsicl.icl.parsing import (MISSING_FIELD, NO_OBJECT, NON_FINITE,
                                 NON_NUMERIC, SENSOR_OUT_OF_RANGE)
 from frsicl.policies import max_aoi_decide, nearest_neighbor_decide
@@ -518,6 +518,10 @@ class _StubHandler(BaseHTTPRequestHandler):
             return
         if self.behavior == "malformed":
             payload = b'{"unexpected": true}'
+        elif self.behavior == "huge":
+            # a completion that parses, padded to 1 MiB
+            payload = json.dumps({"choices": [{"message": {
+                "content": '{"sensor": 4, "velocity": 11.25}' + " " * 2**20}}]}).encode()
         else:
             payload = json.dumps({"choices": [{"message": {
                 "content": '{"sensor": 4, "velocity": 11.25}'}}]}).encode()
@@ -587,6 +591,19 @@ class TestHttpBackend:
             backend.complete("sys", "usr")
         assert time.perf_counter() - started < 0.8
 
+    def test_reply_over_the_cap_falls_back(self, stub_server):
+        _StubHandler.behavior = "huge"
+        backend = http_backend(stub_server)
+        with pytest.raises(BackendError, match=f"reply body over {MAX_REPLY_BYTES} bytes"):
+            backend.complete("sys", "usr")
+        obs = observe(init_world(CFG, seed=3))
+        exchanges = []
+        action = icl_decide(obs, feature_vector(obs, CFG), ExperiencePool(), backend, CFG,
+                            build_system_prompt(CFG), exchanges, step_index=0)
+        assert action == max_aoi_decide(obs, CFG.v_max_mps)
+        assert [e.attempt for e in exchanges] == list(range(MAX_RETRIES + 1))
+        assert all(e.parse_result == "backend-error" for e in exchanges)
+
     def test_unreachable_endpoint_raises(self):
         backend = http_backend("http://127.0.0.1:9", timeout_s=0.5)
         with pytest.raises(BackendError):
@@ -597,16 +614,19 @@ class _FixedBodySession:
     """Stands in for requests.Session: every POST answers 200 with `body`."""
 
     def __init__(self, body):
-        self.body = body
+        self.payload = json.dumps(body).encode()
 
-    def post(self, url, json, headers, timeout):
-        body = self.body
+    def post(self, url, json, headers, timeout, stream):
+        payload = self.payload
 
         class Response:
             status_code = 200
 
-            def json(self):
-                return body
+            def iter_content(self, chunk_size):
+                return iter([payload])
+
+            def close(self):
+                pass
 
         return Response()
 
