@@ -122,11 +122,8 @@ class StepLog(Sequence):
     def __getitem__(self, k):
         if isinstance(k, slice):
             return [self[i] for i in range(*k.indices(len(self)))]
-        w = self._world
-        k = range(w.frames)[k]  # IndexError past either end
-        return StepRecord(step=k, action=Action(w.sensor_log[k], w.velocity_log[k]),
-                          success=w.success_log[k], avg_aoi_s=w.avg_aoi_log[k],
-                          per_sensor_aoi=array("d", w.aoi_log[k].tobytes()))
+        k = range(self._world.frames)[k]  # IndexError past either end
+        return _step_record(self._world, k)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (StepLog, list, tuple)):
@@ -134,6 +131,13 @@ class StepLog(Sequence):
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
     __hash__ = None
+
+
+def _step_record(w: World, k: int) -> StepRecord:
+    """Frame k's StepRecord, for 0 <= k < w.frames."""
+    return StepRecord(step=k, action=Action(w.sensor_log[k], w.velocity_log[k]),
+                      success=w.success_log[k], avg_aoi_s=w.avg_aoi_log[k],
+                      per_sensor_aoi=array("d", w.aoi_log[k].tobytes()))
 
 
 def _orbit_pos(cfg: WorldConfig, arc_s: float):
@@ -325,5 +329,5 @@ def run_episode(world: World, policy, run_id: str = "run") -> RunSummary:
         obs = observe(world)
         step(world, policy.decide(obs, world.policy_rng))
         if feedback is not None:
-            feedback(obs, world.log[-1])
+            feedback(obs, _step_record(world, world.frames - 1))
     return summarize(world, run_id)
