@@ -491,13 +491,17 @@ class TestColumnarLog:
             else:
                 success = bool(twin_rng.random() < p)
             assert w.success_log[k] is success
+        assert all(len(link) == 4 and not any(a.flags.writeable for a in link)
+                   for link in w.link_memo.values())
 
     @pytest.mark.parametrize("model", ["threshold", "logistic"])
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 50), actions=ACTIONS)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 50), actions=ACTIONS,
+           dt=st.sampled_from([1.0, 0.1, 0.37]))
     @settings(max_examples=40, deadline=None)
-    def test_log_equals_the_records_step_built(self, model, seed, n, actions):
+    def test_log_equals_the_records_step_built(self, model, seed, n, actions, dt):
+        # at dt 1 every AoI is a whole number and any order of addition is exact
         cfg = CFG.replace(success_model=model, n_sensors=n, n_steps=len(actions),
-                          battery_j=0.1)
+                          battery_j=0.1, dt_s=dt)
         w = init_world(cfg, seed=seed)
         expected = []
         for k, (sensor, v) in enumerate(actions):
@@ -533,13 +537,12 @@ class TestColumnarLog:
                 for _ in range(t):
                     observe(w)
                     step(w, Action(1, 0.0))
-                return tracemalloc.get_traced_memory()[0], w
+                return tracemalloc.get_traced_memory()[0]
             finally:
                 tracemalloc.stop()
 
         traced_bytes(1)  # lazy imports and first-use allocations
-        (a, _), (b, _) = traced_bytes(short), traced_bytes(long)
-        assert (b - a) / (long - short) <= 8 * n + 128
+        assert (traced_bytes(long) - traced_bytes(short)) / (long - short) <= 8 * n + 128
 
 
 class TestInvariants:
