@@ -70,8 +70,9 @@ class World:
 
     The step log is columnar: entry k of sensor_log, velocity_log,
     success_log and avg_aoi_log, and row k of aoi_log (n_steps, N), is
-    frame k; `frames` is the length of the lists. `log` is a read-only
-    view that builds frame k's StepRecord on demand.
+    frame k; `frames` is the length of the lists. After the first frame,
+    aoi_s is the last row written, so writing to it rewrites the log.
+    `log` is a read-only view that builds frame k's StepRecord on demand.
     """
 
     cfg: WorldConfig
@@ -228,19 +229,22 @@ def attempt_collection(world: World, sensor_id: int) -> bool:
 
 
 def update_aoi(world: World, selected: int, success: bool) -> None:
-    """Frame-end AoI update.
+    """Frame-end AoI update, written into the log row of the current frame,
+    which world.aoi_s then becomes.
 
     Generate-at-will: a successful collection resets the selected sensor's
     AoI to dt (fresh sample generated at frame start, delivered by frame
     end); every other sensor, and the selected one on failure, ages by dt.
     The optional aoi_cap_s clips afterwards.
     """
-    cfg, aoi = world.cfg, world.aoi_s
-    aoi += cfg.dt_s
+    cfg = world.cfg
+    aoi = world.aoi_log[world.frames]
+    np.add(world.aoi_s, cfg.dt_s, out=aoi)
     if success:
         aoi[selected - 1] = cfg.dt_s
     if cfg.aoi_cap_s is not None:
         np.minimum(aoi, cfg.aoi_cap_s, out=aoi)
+    world.aoi_s = aoi
 
 
 def clamp_velocity(cfg: WorldConfig, velocity: float) -> float:
@@ -276,8 +280,7 @@ def step(world: World, action: Action) -> None:
     success = attempt_collection(world, sensor)
     update_aoi(world, sensor, success)
     world.t_s += cfg.dt_s
-    row = world.aoi_log[k]
-    row[:] = world.aoi_s
+    row = world.aoi_s
     world.sensor_log.append(sensor)
     world.velocity_log.append(v)
     world.success_log.append(success)
@@ -321,13 +324,14 @@ def summarize(world: World, run_id: str = "run") -> RunSummary:
 def run_episode(world: World, policy, run_id: str = "run") -> RunSummary:
     """observe -> decide -> step for the full horizon.
 
-    A policy may expose an optional feedback(observation, record) hook,
-    called after each frame with the frame's StepRecord.
+    A policy may expose an optional feedback(observation, world) hook,
+    called after each frame; the frame is entry world.frames - 1 of the
+    world's log columns.
     """
     feedback = getattr(policy, "feedback", None)
     for _ in range(world.cfg.n_steps):
         obs = observe(world)
         step(world, policy.decide(obs, world.policy_rng))
         if feedback is not None:
-            feedback(obs, _step_record(world, world.frames - 1))
+            feedback(obs, world)
     return summarize(world, run_id)

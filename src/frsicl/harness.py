@@ -27,6 +27,14 @@ SENSORS_HEADER = "run_id,sensor_id,x_m,y_m,mean_aoi_s,final_aoi_s"
 SUMMARY_HEADER = "run_id,policy,n_sensors,seed,time_avg_aoi_s,success_rate,wall_ms"
 SWEEP_HEADER = "n_sensors,policy,mean_aoi_s,std_aoi_s,n_runs"
 
+# One "%" format per CSV line; "%.6g" % x is fmt(x) for Python and numpy
+# floats. No cell needs CSV quoting: a run id is a POLICY_NAMES entry and
+# "-s<int>", a policy is a POLICY_NAMES entry, and every other cell is a number.
+STEPS_LINE = "%s,%d,%d,%.6g,%d,%.6g\n"
+SENSORS_LINE = "%s,%d,%.6g,%.6g,%.6g,%.6g\n"
+SUMMARY_LINE = "%s,%s,%s,%s,%.6g,%.6g,%.6g\n"
+SWEEP_LINE = "%s,%s,%.6g,%.6g,%d\n"
+
 
 class ReplayDivergence(RuntimeError):
     pass
@@ -77,12 +85,12 @@ def build_policy(spec: ExperimentSpec):
 @dataclass
 class RunArtifacts:
     summaries: List[RunSummary]
-    sensor_rows: List[List[str]]
-    summary_rows: List[List[str]]
+    sensor_lines: List[str]
+    summary_lines: List[str]
 
 
 class _CsvFile:
-    """A CSV file written under a temporary name, a block of rows at a
+    """A CSV file written under a temporary name, a block of lines at a
     time, and renamed to `path` when the `with` block ends; if the block
     raises, the partial file is removed, and so is its directory if this
     made it and nothing else is in it. The file and directory are made
@@ -95,7 +103,7 @@ class _CsvFile:
         self._made_dir = None
         self._fh = None
 
-    def write(self, rows: Iterable[Sequence[str]]) -> None:
+    def write(self, lines: Iterable[str]) -> None:
         try:
             if self._fh is None:
                 directory = os.path.dirname(self.path) or "."
@@ -104,8 +112,7 @@ class _CsvFile:
                     self._made_dir = directory
                 self._fh = open(self._partial, "w", newline="", encoding="utf-8")
                 self._fh.write(self.header + "\n")
-                self._writer = csv.writer(self._fh, lineterminator="\n")
-            self._writer.writerows(rows)
+            self._fh.writelines(lines)
             self._fh.flush()
         except OSError as exc:
             raise IOError(f"cannot write {self.path}: {exc}") from exc
@@ -129,16 +136,15 @@ class _CsvFile:
                     os.rmdir(self._made_dir)
 
 
-def _step_rows(run_id: str, world) -> Iterator[Tuple[str, ...]]:
-    """steps.csv rows of a finished run, formatted from its log columns."""
-    return zip(repeat(run_id), map(str, range(world.frames)), map(str, world.sensor_log),
-               map(fmt, world.velocity_log),
-               ("1" if success else "0" for success in world.success_log),
-               map(fmt, world.avg_aoi_log))
+def _step_lines(run_id: str, world) -> Iterator[str]:
+    """steps.csv lines of a finished run, formatted from its log columns."""
+    return map(STEPS_LINE.__mod__, zip(
+        repeat(run_id), range(world.frames), world.sensor_log, world.velocity_log,
+        world.success_log, world.avg_aoi_log))
 
 
 def _execute_runs(spec: ExperimentSpec, steps: _CsvFile) -> RunArtifacts:
-    """Every replicate run; a run's steps.csv rows go to `steps` as it ends."""
+    """Every replicate run; a run's steps.csv lines go to `steps` as it ends."""
     artifacts = RunArtifacts([], [], [])
     for seed in spec.seeds:
         run_id = f"{spec.policy}-s{seed}"
@@ -148,17 +154,15 @@ def _execute_runs(spec: ExperimentSpec, steps: _CsvFile) -> RunArtifacts:
         summary = run_episode(world, policy, run_id=run_id)
         summary.wall_ms = (time.perf_counter() - started) * 1000.0
         artifacts.summaries.append(summary)
-        steps.write(_step_rows(run_id, world))
-        for j, ((x, y), mean, final) in enumerate(zip(
+        steps.write(_step_lines(run_id, world))
+        artifacts.sensor_lines.extend(
+            SENSORS_LINE % (run_id, j, x, y, mean, final)
+            for j, ((x, y), mean, final) in enumerate(zip(
                 world.pos.tolist(), summary.per_sensor_mean_aoi,
-                summary.per_sensor_final_aoi), start=1):
-            artifacts.sensor_rows.append(
-                [run_id, str(j), fmt(x), fmt(y), fmt(mean), fmt(final)])
-        artifacts.summary_rows.append([
-            run_id, spec.policy, str(spec.world.n_sensors), str(seed),
-            fmt(summary.time_avg_aoi_s), fmt(summary.success_rate),
-            fmt(summary.wall_ms),
-        ])
+                summary.per_sensor_final_aoi), start=1))
+        artifacts.summary_lines.append(SUMMARY_LINE % (
+            run_id, spec.policy, spec.world.n_sensors, seed,
+            summary.time_avg_aoi_s, summary.success_rate, summary.wall_ms))
         if isinstance(policy, IclPolicy):
             os.makedirs(spec.out_dir, exist_ok=True)
             policy.write_exchange_log(
@@ -166,9 +170,9 @@ def _execute_runs(spec: ExperimentSpec, steps: _CsvFile) -> RunArtifacts:
     return artifacts
 
 
-def _write_csv(path: str, header: str, rows: Sequence[Sequence[str]]) -> None:
+def _write_csv(path: str, header: str, lines: Iterable[str]) -> None:
     with _CsvFile(path, header) as out:
-        out.write(rows)
+        out.write(lines)
 
 
 def run_experiment(spec: ExperimentSpec) -> List[RunSummary]:
@@ -179,9 +183,9 @@ def run_experiment(spec: ExperimentSpec) -> List[RunSummary]:
     with _CsvFile(os.path.join(spec.out_dir, "steps.csv"), STEPS_HEADER) as steps:
         artifacts = _execute_runs(spec, steps)
     _write_csv(os.path.join(spec.out_dir, "sensors.csv"),
-               SENSORS_HEADER, artifacts.sensor_rows)
+               SENSORS_HEADER, artifacts.sensor_lines)
     _write_csv(os.path.join(spec.out_dir, "summary.csv"),
-               SUMMARY_HEADER, artifacts.summary_rows)
+               SUMMARY_HEADER, artifacts.summary_lines)
     save_world_config(spec.world, os.path.join(spec.out_dir, "world.json"))
     return artifacts.summaries
 
@@ -234,8 +238,7 @@ def sweep_sensors(spec: ExperimentSpec, policies: Sequence[str],
             rows.append((n, policy, float(values.mean()),
                          float(values.std()), len(values)))
     _write_csv(os.path.join(spec.out_dir, "sweep.csv"), SWEEP_HEADER,
-               [[str(n), policy, fmt(mean), fmt(std), str(count)]
-                for n, policy, mean, std, count in rows])
+               map(SWEEP_LINE.__mod__, rows))
     return rows
 
 

@@ -14,7 +14,8 @@ from ..config import WorldConfig
 from ..features import feature_vector
 from ..policies import max_aoi_decide
 from ..rng import RngStream
-from ..states import Action, Observation, StepRecord
+from ..env import World
+from ..states import Action, Observation
 from .backends import BackendError, make_backend
 from .parsing import ParseError, parse_action
 from .pool import ExperiencePool, ExperienceRecord
@@ -120,12 +121,15 @@ class IclPolicy:
                           self.world_cfg, self.system_prompt, self.exchanges,
                           self._step_index)
 
-    def feedback(self, obs: Observation, record: StepRecord) -> None:
-        """Store the frame just decided: the features decide computed for
-        `obs`, the action taken, and the mean AoI before and after it."""
+    def feedback(self, obs: Observation, world: World) -> None:
+        """Store the frame just decided, the last in `world`'s log: the
+        features decide computed for `obs`, the action taken, and the mean
+        AoI before and after it."""
+        k = world.frames - 1
         self.pool.add(ExperienceRecord(
-            features=self._features, action=record.action,
-            outcome_avg_aoi=record.avg_aoi_s, step=record.step,
+            features=self._features,
+            action=Action(world.sensor_log[k], world.velocity_log[k]),
+            outcome_avg_aoi=world.avg_aoi_log[k], step=k,
             avg_aoi_before_s=sum(obs.aoi_s.tolist()) / len(obs.aoi_s)))
         self._step_index += 1
 

@@ -2,7 +2,8 @@
 
 A policy exposes decide(observation, rng) -> Action and must return a valid
 action for every observation. Ties in argmin/argmax rules break toward the
-lowest sensor id so episodes replay deterministically.
+lowest sensor id so episodes replay deterministically: argmin and argmax
+return the first extreme.
 """
 
 from __future__ import annotations
@@ -20,22 +21,24 @@ class Policy(Protocol):
     def decide(self, obs: Observation, rng: RngStream) -> Action: ...
 
 
-def _eligible_or_all(values: np.ndarray, eligible: np.ndarray, fill: float) -> np.ndarray:
-    """`values` with ineligible entries set to `fill`, unless none is eligible.
-    argmin and argmax return the first extreme: the lowest sensor id."""
-    return np.where(eligible, values, fill) if eligible.any() else values
-
-
 def nearest_neighbor_decide(obs: Observation, v_max: float) -> Action:
     """Poll the horizontally nearest sensor (among eligible ones, if any)."""
-    distance = _eligible_or_all(obs.distance_m, obs.eligible, np.inf)
-    return Action(sensor=int(distance.argmin()) + 1, velocity_mps=v_max)
+    eligible = obs.eligible
+    j = int(np.where(eligible, obs.distance_m, np.inf).argmin())
+    # An ineligible pick means every masked entry is the fill: only then can
+    # no sensor be eligible, and only then is any() worth its cost.
+    if not eligible[j] and not eligible.any():
+        j = int(obs.distance_m.argmin())
+    return Action(j + 1, v_max)
 
 
 def max_aoi_decide(obs: Observation, v_max: float) -> Action:
     """Poll the stalest sensor (among eligible ones, if any)."""
-    aoi = _eligible_or_all(obs.aoi_s, obs.eligible, -np.inf)
-    return Action(sensor=int(aoi.argmax()) + 1, velocity_mps=v_max)
+    eligible = obs.eligible
+    j = int(np.where(eligible, obs.aoi_s, -np.inf).argmax())
+    if not eligible[j] and not eligible.any():
+        j = int(obs.aoi_s.argmax())
+    return Action(j + 1, v_max)
 
 
 class NearestNeighborPolicy:
@@ -73,4 +76,4 @@ class RoundRobinPolicy:
     def decide(self, obs: Observation, rng: RngStream) -> Action:
         sensor = (self.counter % self.n) + 1
         self.counter += 1
-        return Action(sensor=sensor, velocity_mps=self.velocity)
+        return Action(sensor, self.velocity)

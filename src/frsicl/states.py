@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -19,17 +19,17 @@ class UavState:
     run: int = 0  # moves in a row at velocity_mps
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(NamedTuple):
     """One frame's decision: which sensor to poll and how fast to fly."""
 
     sensor: int  # 1-based index
     velocity_mps: float
 
 
-@dataclass(frozen=True, eq=False)
-class Observation:
-    """Frame-start view; entry j of each array is sensor j + 1."""
+class Observation(NamedTuple):
+    """Frame-start view; entry j of each array is sensor j + 1. A tuple
+    compares by value, which an array does not: compare fields, not
+    observations."""
 
     t_s: float
     uav_pos: Tuple[float, float, float]
