@@ -8,8 +8,8 @@ import csv
 import os
 import time
 from dataclasses import dataclass, field
-from itertools import repeat
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from itertools import repeat, takewhile
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -250,69 +250,87 @@ def _seed_from_run_id(run_id: str) -> int:
             f"run id {run_id!r} does not encode a seed ('<policy>-s<seed>')") from exc
 
 
-def _check_step_numbers(run_id: str, steps: Sequence[int], n_steps: int) -> None:
-    """A run logs steps 0..k-1 once each, with k within the horizon."""
-    for i, k in enumerate(sorted(steps)):
-        if k > i:
-            raise ReplayDivergence(f"{run_id} does not log step {i}")
-        if k < 0:
-            raise ReplayDivergence(f"{run_id} logs negative step {k}")
-        if k < i:
-            raise ReplayDivergence(f"{run_id} logs step {k} twice")
-    if len(steps) > n_steps:
-        raise ReplayDivergence(f"{run_id} logs {len(steps)} steps, past the "
-                               f"world's horizon of {n_steps}")
-
-
-def _read_steps_csv(path: str) -> Dict[str, List[Tuple[int, Action, dict]]]:
-    """run_id -> (step, action, row) of each row; a row without exactly the
-    header's fields, or a cell that does not parse, is named by its line."""
-    runs: Dict[str, List[Tuple[int, Action, dict]]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+def _parsed_rows(path: str, reader) -> Iterator[Tuple[str, int, Action, List[str], int]]:
+    """(run_id, step, action, row, line) of each row after the header; a
+    row without exactly the header's fields, or a cell that does not
+    parse, is named by its line. Blank lines are skipped."""
+    n_fields = STEPS_HEADER.count(",") + 1
+    for row in reader:
+        if not row:
+            continue
+        where = reader.line_num
+        if len(row) != n_fields:
+            raise ReplayDivergence(f"{path} line {where}: expected the {n_fields} "
+                                   f"fields {STEPS_HEADER}")
         try:
-            if reader.fieldnames != STEPS_HEADER.split(","):
-                raise ReplayDivergence(f"{path}: unexpected header {reader.fieldnames}")
-            for row in reader:
-                where = f"{path} line {reader.line_num}"
-                if None in row or None in row.values():
-                    raise ReplayDivergence(f"{where}: expected the {len(reader.fieldnames)} "
-                                           f"fields {STEPS_HEADER}")
-                try:
-                    entry = (int(row["step"]), Action(
-                        sensor=int(row["selected_sensor"]),
-                        velocity_mps=float(row["velocity_mps"])), row)
-                except ValueError as exc:
-                    raise ReplayDivergence(f"{where}: {exc}") from exc
-                runs.setdefault(row["run_id"], []).append(entry)
-        except csv.Error as exc:
-            # the reader stopped inside the record after the last one it read
-            raise ReplayDivergence(f"{path} line {reader.line_num + 1}: {exc}") from exc
-    return runs
+            k, action = int(row[1]), Action(int(row[2]), float(row[3]))
+        except ValueError as exc:
+            raise ReplayDivergence(f"{path} line {where}: {exc}") from exc
+        yield row[0], k, action, row, where
+
+
+def _step_fault(path: str, run_id: str, k: int, line: int, frames: int,
+                n_steps: int, rows) -> ReplayDivergence:
+    """The fault of a run whose steps 0..frames-1 replayed and whose row at
+    `line` logs step k, when k is not `frames` or `frames` is the horizon;
+    `rows` holds the rows after it. A gap, a step out of order and a run
+    past the horizon read the rest of the run to say which it is."""
+    if k < 0:
+        return ReplayDivergence(f"{run_id} logs negative step {k}")
+    if k < frames:
+        return ReplayDivergence(f"{run_id} logs step {k} twice")
+    later = [step for _, step, _, _, _ in takewhile(lambda r: r[0] == run_id, rows)]
+    if k == frames:
+        return ReplayDivergence(f"{run_id} logs {frames + 1 + len(later)} steps, past "
+                                f"the world's horizon of {n_steps}")
+    if frames in later:
+        return ReplayDivergence(f"{path} line {line}: {run_id} logs step {k} "
+                                f"before step {frames}")
+    return ReplayDivergence(f"{run_id} does not log step {frames}")
+
+
+def _replay_rows(path: str, reader, cfg: WorldConfig) -> int:
+    header = next(reader, None)
+    if header != STEPS_HEADER.split(","):
+        raise ReplayDivergence(f"{path}: unexpected header {header}")
+    rows = _parsed_rows(path, reader)
+    replayed, run_id, world = set(), None, None
+    for rid, k, action, row, line in rows:
+        if rid != run_id:
+            if rid in replayed:
+                raise ReplayDivergence(f"{path} line {line}: the rows of {rid} are "
+                                       "not contiguous")
+            replayed.add(rid)
+            run_id, world = rid, init_world(cfg, seed=_seed_from_run_id(rid))
+        if k != world.frames or k >= cfg.n_steps:
+            raise _step_fault(path, run_id, k, line, world.frames, cfg.n_steps, rows)
+        try:
+            env_step(world, action)
+        except ActionError as exc:
+            raise ReplayDivergence(
+                f"replay divergence at step {k} of {run_id}: {exc}") from exc
+        avg_aoi = fmt(world.avg_aoi_log[-1])
+        if avg_aoi != row[5]:
+            raise ReplayDivergence(
+                f"replay divergence at step {k} of {run_id}: "
+                f"avg_aoi_s {avg_aoi} != logged {row[5]}")
+        if ("1" if world.success_log[-1] else "0") != row[4]:
+            raise ReplayDivergence(
+                f"replay divergence at step {k} of {run_id}: success flag")
+    return len(replayed)
 
 
 def replay_steps_csv(path: str, cfg: WorldConfig) -> int:
-    """Re-simulate each run from its logged action sequence and require the
-    rendered avg_aoi_s (and success flag) to match exactly. Returns the
-    number of verified runs. A malformed row, and a run whose steps are not
-    0..k-1 within the horizon, are named before the run is simulated."""
-    runs = _read_steps_csv(path)
-    for run_id, rows in runs.items():
-        _check_step_numbers(run_id, [k for k, _, _ in rows], cfg.n_steps)
-        world = init_world(cfg, seed=_seed_from_run_id(run_id))
-        rows.sort(key=lambda r: r[0])
-        for k, action, row in rows:
-            try:
-                env_step(world, action)
-            except ActionError as exc:
-                raise ReplayDivergence(
-                    f"replay divergence at step {k} of {run_id}: {exc}") from exc
-            avg_aoi = fmt(world.avg_aoi_log[-1])
-            if avg_aoi != row["avg_aoi_s"]:
-                raise ReplayDivergence(
-                    f"replay divergence at step {k} of {run_id}: "
-                    f"avg_aoi_s {avg_aoi} != logged {row['avg_aoi_s']}")
-            if ("1" if world.success_log[-1] else "0") != row["success"]:
-                raise ReplayDivergence(
-                    f"replay divergence at step {k} of {run_id}: success flag")
-    return len(runs)
+    """Re-simulate each run from its logged action sequence, a row at a
+    time as the file is read, and require the rendered avg_aoi_s (and
+    success flag) to match exactly. Returns the number of verified runs.
+    A run's rows must be contiguous, with steps 0, 1, ... in order and
+    within the horizon; a malformed row, a gap, a repeated step, a step out
+    of order and a run past the horizon are named."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            return _replay_rows(path, reader, cfg)
+        except csv.Error as exc:
+            # line_num counts the line the reader stopped on
+            raise ReplayDivergence(f"{path} line {reader.line_num}: {exc}") from exc

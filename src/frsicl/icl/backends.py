@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import time
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
@@ -42,6 +43,11 @@ class BackendError(RuntimeError):
 class HttpBackend:
     """POSTs to <endpoint>/v1/chat/completions with a bearer credential.
 
+    A reply must be whole within timeout_s of the start of the post: the
+    body is read as it arrives, and the deadline is checked before each
+    read. One read waits at most timeout_s, so a call returns within about
+    twice timeout_s.
+
     `requests` (and with it urllib3 and ssl) is imported here, not at module
     level, so that only a run that builds an HTTP backend loads it.
     """
@@ -57,6 +63,7 @@ class HttpBackend:
 
     def complete(self, system: str, user: str) -> str:
         import requests
+        import urllib3
 
         url = f"{self.endpoint}/v1/chat/completions"
         headers = {"Content-Type": "application/json"}
@@ -72,18 +79,19 @@ class HttpBackend:
             "temperature": TEMPERATURE,
             "max_tokens": MAX_TOKENS,
         }
+        deadline = time.monotonic() + self.timeout_s
         try:
             response = self.session.post(url, json=body, headers=headers,
                                          timeout=self.timeout_s, stream=True)
             try:
                 if not 200 <= response.status_code < 300:
                     raise BackendError(f"status {response.status_code}")
-                reply = _read_capped(response)
+                reply = _read_capped(response.raw, deadline, self.timeout_s)
             finally:
                 response.close()
-        except requests.Timeout as exc:
+        except (requests.Timeout, urllib3.exceptions.TimeoutError) as exc:
             raise BackendError(f"timeout after {self.timeout_s} s") from exc
-        except requests.RequestException as exc:
+        except (requests.RequestException, urllib3.exceptions.HTTPError) as exc:
             raise BackendError(f"transport error: {exc}") from exc
         try:
             content = json.loads(reply)["choices"][0]["message"]["content"]
@@ -95,15 +103,21 @@ class HttpBackend:
         return content
 
 
-def _read_capped(response) -> bytes:
-    """The body of a streamed reply, or BackendError past MAX_REPLY_BYTES."""
+def _read_capped(raw, deadline: float, timeout_s: float) -> bytes:
+    """The body of a streamed reply from its urllib3 response `raw`, in
+    reads that return what has arrived; BackendError past MAX_REPLY_BYTES,
+    or once time.monotonic() passes `deadline`."""
     chunks, size = [], 0
-    for chunk in response.iter_content(chunk_size=16 * 1024):
+    while True:
+        if time.monotonic() > deadline:
+            raise BackendError(f"timeout after {timeout_s} s")
+        chunk = raw.read1(16 * 1024, decode_content=True)
+        if not chunk:
+            return b"".join(chunks)
         chunks.append(chunk)
         size += len(chunk)
         if size > MAX_REPLY_BYTES:
             raise BackendError(f"reply body over {MAX_REPLY_BYTES} bytes")
-    return b"".join(chunks)
 
 
 def _parse_step_prompt(user: str):

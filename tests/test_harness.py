@@ -394,8 +394,8 @@ class TestReplayCli:
     message that names the fault, not a traceback or an AoI divergence."""
 
     @staticmethod
-    def replay_edited(tmp_path, capsys, edit):
-        run_experiment(spec_for(tmp_path, seeds=(0,)))
+    def replay_edited(tmp_path, capsys, edit, seeds=(0,)):
+        run_experiment(spec_for(tmp_path, seeds=seeds))
         path = tmp_path / "out" / "steps.csv"
         lines = path.read_text().splitlines()
         path.write_text("\n".join(edit(lines)) + "\n")
@@ -434,6 +434,27 @@ class TestReplayCli:
         err = self.replay_edited(
             tmp_path, capsys, lambda lines: lines + ["maxaoi-s0," + "9" * 200_000])
         assert "line 32: field larger than field limit" in err
+
+    def test_step_out_of_order(self, tmp_path, capsys):
+        err = self.replay_edited(
+            tmp_path, capsys, lambda lines: lines[:3] + [lines[4], lines[3]] + lines[5:])
+        assert "line 4: maxaoi-s0 logs step 3 before step 2" in err
+
+    def test_rows_of_a_run_not_contiguous(self, tmp_path, capsys):
+        # step 29 of maxaoi-s0 moved after the rows of maxaoi-s1
+        err = self.replay_edited(
+            tmp_path, capsys, lambda lines: lines[:30] + lines[31:] + [lines[30]],
+            seeds=(0, 1))
+        assert "line 61: the rows of maxaoi-s0 are not contiguous" in err
+
+    def test_rows_replay_as_they_are_read(self, tmp_path, capsys):
+        # a divergence at step 2 is found before the malformed last line is read
+        def edit(lines):
+            cells = lines[3].split(",")
+            cells[-1] = fmt(float(cells[-1]) + 0.5)
+            return lines[:3] + [",".join(cells)] + lines[4:] + ["maxaoi-s0,30"]
+        err = self.replay_edited(tmp_path, capsys, edit)
+        assert "replay divergence at step 2 of maxaoi-s0: avg_aoi_s" in err
 
 
 class TestOneSeedCommands:

@@ -529,7 +529,14 @@ class _StubHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
-        self.wfile.write(payload)
+        if self.behavior == "drip":
+            # 4 bytes every 0.1 s: each read is quick, the whole reply is not
+            for i in range(0, len(payload), 4):
+                self.wfile.write(payload[i:i + 4])
+                self.wfile.flush()
+                time.sleep(0.1)
+        else:
+            self.wfile.write(payload)
 
     def log_message(self, *args):
         pass
@@ -604,6 +611,21 @@ class TestHttpBackend:
         assert [e.attempt for e in exchanges] == list(range(MAX_RETRIES + 1))
         assert all(e.parse_result == "backend-error" for e in exchanges)
 
+    def test_dripping_reply_times_out_as_a_whole(self, stub_server):
+        # the 71-byte reply takes 1.8 s; each attempt gives up after 0.25 s
+        _StubHandler.behavior = "drip"
+        backend = http_backend(stub_server, timeout_s=0.25)
+        obs = observe(init_world(CFG, seed=3))
+        exchanges = []
+        started = time.perf_counter()
+        action = icl_decide(obs, feature_vector(obs, CFG), ExperiencePool(), backend, CFG,
+                            build_system_prompt(CFG), exchanges, step_index=0)
+        assert time.perf_counter() - started < 1.5
+        assert action == max_aoi_decide(obs, CFG.v_max_mps)
+        assert [e.attempt for e in exchanges] == list(range(MAX_RETRIES + 1))
+        assert all(e.parse_result == "backend-error" and "timeout" in e.raw_response
+                   for e in exchanges)
+
     def test_unreachable_endpoint_raises(self):
         backend = http_backend("http://127.0.0.1:9", timeout_s=0.5)
         with pytest.raises(BackendError):
@@ -617,13 +639,15 @@ class _FixedBodySession:
         self.payload = json.dumps(body).encode()
 
     def post(self, url, json, headers, timeout, stream):
-        payload = self.payload
+        chunks = [self.payload]
+
+        class Raw:
+            def read1(self, amt, decode_content):
+                return chunks.pop() if chunks else b""
 
         class Response:
             status_code = 200
-
-            def iter_content(self, chunk_size):
-                return iter([payload])
+            raw = Raw()
 
             def close(self):
                 pass
