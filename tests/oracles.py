@@ -188,3 +188,12 @@ def brute_force_top_k(records: List, current: np.ndarray, k: int) -> List:
         reverse=True)
     picked = sorted(scored[:k], key=lambda pair: pair[0])
     return [rec for _, rec in picked]
+
+
+# --- baseline decisions, masked as the rule was first written -------------
+
+def eligible_or_all(values: np.ndarray, eligible: np.ndarray, fill: float) -> np.ndarray:
+    """`values` with ineligible entries set to `fill`, unless none is
+    eligible. The first argmin (argmax) of it, with fill inf (-inf), is the
+    nearest (stalest) sensor's index."""
+    return np.where(eligible, values, fill) if eligible.any() else values

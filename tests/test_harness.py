@@ -1,10 +1,13 @@
 import csv
 import hashlib
+import io
 import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from frsicl import harness
 from frsicl.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, cli_main
@@ -34,6 +37,51 @@ class TestFmt:
 
     def test_integers_stay_compact(self):
         assert fmt(100.0) == "100"
+
+
+# Floats of every magnitude, as Python or numpy scalars: -0.0, subnormals,
+# 1e16, +-inf and NaN included.
+PYTHON_FLOAT = st.one_of(
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 123456.5,
+                     float("inf"), float("-inf")]),
+    st.floats())
+FLOAT_CELL = st.one_of(PYTHON_FLOAT, PYTHON_FLOAT.map(np.float64),
+                       st.floats(width=32).map(np.float32))
+INT_CELL = st.integers(0, 2**63)
+RUN_ID = st.builds("{}-s{}".format, st.sampled_from(harness.POLICY_NAMES), INT_CELL)
+
+
+def csv_line(cells):
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(cells)
+    return out.getvalue()
+
+
+class TestLineFormats:
+    """Each "%" line format writes what csv.writer writes for the cells as
+    fmt and str render them."""
+
+    @given(RUN_ID, INT_CELL, INT_CELL, FLOAT_CELL, st.booleans(), FLOAT_CELL)
+    def test_steps_line(self, run_id, k, sensor, v, success, avg):
+        assert harness.STEPS_LINE % (run_id, k, sensor, v, success, avg) == csv_line(
+            [run_id, str(k), str(sensor), fmt(v), "1" if success else "0", fmt(avg)])
+
+    @given(RUN_ID, INT_CELL, FLOAT_CELL, FLOAT_CELL, FLOAT_CELL, FLOAT_CELL)
+    def test_sensors_line(self, run_id, j, x, y, mean, final):
+        assert harness.SENSORS_LINE % (run_id, j, x, y, mean, final) == csv_line(
+            [run_id, str(j), fmt(x), fmt(y), fmt(mean), fmt(final)])
+
+    @given(RUN_ID, st.sampled_from(harness.POLICY_NAMES), INT_CELL, INT_CELL,
+           FLOAT_CELL, FLOAT_CELL, FLOAT_CELL)
+    def test_summary_line(self, run_id, policy, n, seed, aoi, rate, wall):
+        assert harness.SUMMARY_LINE % (run_id, policy, n, seed, aoi, rate, wall) == csv_line(
+            [run_id, policy, str(n), str(seed), fmt(aoi), fmt(rate), fmt(wall)])
+
+    @given(INT_CELL, st.sampled_from(harness.POLICY_NAMES), FLOAT_CELL, FLOAT_CELL,
+           INT_CELL)
+    def test_sweep_line(self, n, policy, mean, std, count):
+        assert harness.SWEEP_LINE % (n, policy, mean, std, count) == csv_line(
+            [str(n), policy, fmt(mean), fmt(std), str(count)])
 
 
 class TestLoadConfig:

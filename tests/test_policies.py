@@ -1,12 +1,14 @@
 import numpy as np
-from hypothesis import given
+import pytest
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from frsicl.config import WorldConfig
 from frsicl.policies import (MaxAoiPolicy, NearestNeighborPolicy,
                              RoundRobinPolicy, max_aoi_decide,
                              nearest_neighbor_decide)
-from frsicl.states import Observation
+from frsicl.states import Action, Observation
+from oracles import eligible_or_all
 
 CFG = WorldConfig()
 # Scaling by a power of two is exact, so it keeps every order and every tie;
@@ -94,3 +96,43 @@ def test_all_baselines_respect_bounds():
         action = policy.decide(obs, None)
         assert CFG.v_min_mps <= action.velocity_mps <= CFG.v_max_mps
         assert 1 <= action.sensor <= CFG.n_sensors
+
+
+NAN, INF = float("nan"), float("inf")
+# Ties, the two fills themselves, NaN, and any other float.
+DECISION_VALUE = st.one_of(st.sampled_from([0.0, 1.0, INF, -INF, NAN]), st.floats())
+DECISION_CASE = st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.lists(DECISION_VALUE, min_size=n, max_size=n),
+    st.lists(st.booleans(), min_size=n, max_size=n)))
+
+
+class TestMaskedDecisions:
+    """Masking first, and asking whether any sensor is eligible only when
+    the pick is not, picks what the eligible-or-all rule picks."""
+
+    @given(DECISION_CASE)
+    @example(([1.0, 2.0, 3.0], [False, False, False]))  # none eligible
+    @example(([2.0, 1.0, 2.0], [True, True, True]))  # all eligible, ties
+    @example(([INF, INF, 5.0], [True, False, False]))  # only an inf is eligible
+    @example(([-INF, 3.0, -INF], [False, False, True]))
+    @example(([NAN, 1.0, NAN], [False, True, True]))  # NaN eligible and not
+    @example(([NAN, NAN], [False, False]))
+    def test_equal_the_eligible_or_all_rule(self, case):
+        values, eligible = case
+        obs = make_obs(distances=values, aois=values, eligible=eligible)
+        mask = obs.eligible
+        assert nearest_neighbor_decide(obs, 15.0).sensor == \
+            int(eligible_or_all(obs.distance_m, mask, INF).argmin()) + 1
+        assert max_aoi_decide(obs, 15.0).sensor == \
+            int(eligible_or_all(obs.aoi_s, mask, -INF).argmax()) + 1
+
+
+@pytest.mark.parametrize("record, field", [
+    (Action(1, 15.0), "sensor"),
+    (Action(1, 15.0), "velocity_mps"),
+    (make_obs(distances=[1.0, 2.0]), "aoi_s"),
+    (make_obs(distances=[1.0, 2.0]), "t_s"),
+])
+def test_actions_and_observations_are_immutable(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, 0)
