@@ -75,19 +75,13 @@ def _replay_config(args):
 
 
 def _icl_from_args(args, policy: str) -> IclConfig:
-    if args.mock_llm:
-        backend = f"mock:{args.mock_llm}"
-    elif args.llm_endpoint:
-        backend = "http"
-    else:
-        backend = "mock:max-aoi"
-        if policy == "icl":
-            raise ConfigError(
-                "icl policy needs a backend: pass --llm-endpoint URL for a "
-                f"real endpoint or --mock-llm {{{','.join(MOCK_STRATEGIES)}}} "
-                "to run offline")
-    return IclConfig(endpoint=args.llm_endpoint, model=args.llm_model,
-                     backend=backend, timeout_s=args.llm_timeout)
+    if policy == "icl" and not (args.mock_llm or args.llm_endpoint):
+        raise ConfigError(
+            "icl policy needs a backend: pass --llm-endpoint URL for a "
+            f"real endpoint or --mock-llm {{{','.join(MOCK_STRATEGIES)}}} "
+            "to run offline")
+    backend = args.llm_endpoint or f"mock:{args.mock_llm or 'max-aoi'}"
+    return IclConfig(model=args.llm_model, backend=backend, timeout_s=args.llm_timeout)
 
 
 def _add_common(parser):
@@ -95,11 +89,13 @@ def _add_common(parser):
     parser.add_argument("--seed", default="0",
                         help="replicate seed or comma-separated list")
     parser.add_argument("--out-dir", default="out", help="output directory")
-    parser.add_argument("--llm-endpoint", help="OpenAI-compatible endpoint URL")
     parser.add_argument("--llm-model", default=IclConfig.model)
     parser.add_argument("--llm-timeout", type=float, default=IclConfig.timeout_s)
-    parser.add_argument("--mock-llm", choices=MOCK_STRATEGIES,
-                        help="offline LLM backend strategy")
+    backend = parser.add_mutually_exclusive_group()
+    backend.add_argument("--llm-endpoint",
+                         help="OpenAI-compatible endpoint URL, http:// or https://")
+    backend.add_argument("--mock-llm", choices=MOCK_STRATEGIES,
+                         help="offline LLM backend strategy")
 
 
 def build_parser() -> _Parser:

@@ -27,9 +27,11 @@ SENSORS_HEADER = "run_id,sensor_id,x_m,y_m,mean_aoi_s,final_aoi_s"
 SUMMARY_HEADER = "run_id,policy,n_sensors,seed,time_avg_aoi_s,success_rate,wall_ms"
 SWEEP_HEADER = "n_sensors,policy,mean_aoi_s,std_aoi_s,n_runs"
 
-# One "%" format per CSV line; "%.6g" % x is fmt(x) for Python and numpy
-# floats. No cell needs CSV quoting: a run id is a POLICY_NAMES entry and
-# "-s<int>", a policy is a POLICY_NAMES entry, and every other cell is a number.
+# One "%" format per CSV line, also the form replay checks each steps.csv
+# row against: floats take 6 significant digits ("%.6g" renders Python and
+# numpy floats alike). No cell needs CSV quoting: a run id is a POLICY_NAMES
+# entry and "-s<int>", a policy is a POLICY_NAMES entry, and every other
+# cell is a number.
 STEPS_LINE = "%s,%d,%d,%.6g,%d,%.6g\n"
 SENSORS_LINE = "%s,%d,%.6g,%.6g,%.6g,%.6g\n"
 SUMMARY_LINE = "%s,%s,%s,%s,%.6g,%.6g,%.6g\n"
@@ -38,11 +40,6 @@ SWEEP_LINE = "%s,%s,%.6g,%.6g,%d\n"
 
 class ReplayDivergence(RuntimeError):
     pass
-
-
-def fmt(x: float) -> str:
-    """Canonical float rendering: 6 significant digits, '.' separator."""
-    return f"{float(x):.6g}"
 
 
 def _check_policy(policy: str) -> None:
@@ -80,13 +77,6 @@ def build_policy(spec: ExperimentSpec):
             raise ConfigError("ppo policy requires a trained parameters file")
         return PpoPolicy(load_params(spec.ppo_params_path), cfg, greedy=True)
     raise ConfigError(f"unknown policy {spec.policy!r}")
-
-
-@dataclass
-class RunArtifacts:
-    summaries: List[RunSummary]
-    sensor_lines: List[str]
-    summary_lines: List[str]
 
 
 class _CsvFile:
@@ -143,51 +133,38 @@ def _step_lines(run_id: str, world) -> Iterator[str]:
         world.success_log, world.avg_aoi_log))
 
 
-def _execute_runs(spec: ExperimentSpec, steps: _CsvFile) -> RunArtifacts:
-    """Every replicate run; a run's steps.csv lines go to `steps` as it ends."""
-    artifacts = RunArtifacts([], [], [])
-    for seed in spec.seeds:
-        run_id = f"{spec.policy}-s{seed}"
-        world = init_world(spec.world, seed=seed)
-        policy = build_policy(spec)
-        started = time.perf_counter()
-        summary = run_episode(world, policy, run_id=run_id)
-        summary.wall_ms = (time.perf_counter() - started) * 1000.0
-        artifacts.summaries.append(summary)
-        steps.write(_step_lines(run_id, world))
-        artifacts.sensor_lines.extend(
-            SENSORS_LINE % (run_id, j, x, y, mean, final)
-            for j, ((x, y), mean, final) in enumerate(zip(
-                world.pos.tolist(), summary.per_sensor_mean_aoi,
-                summary.per_sensor_final_aoi), start=1))
-        artifacts.summary_lines.append(SUMMARY_LINE % (
-            run_id, spec.policy, spec.world.n_sensors, seed,
-            summary.time_avg_aoi_s, summary.success_rate, summary.wall_ms))
-        if isinstance(policy, IclPolicy):
-            os.makedirs(spec.out_dir, exist_ok=True)
-            policy.write_exchange_log(
-                os.path.join(spec.out_dir, f"exchanges-{run_id}.log"))
-    return artifacts
-
-
-def _write_csv(path: str, header: str, lines: Iterable[str]) -> None:
-    with _CsvFile(path, header) as out:
-        out.write(lines)
-
-
 def run_experiment(spec: ExperimentSpec) -> List[RunSummary]:
-    """One episode per replicate seed; writes steps/sensors/summary CSVs and
-    the world config (world.json) that replay reads back. Each run's steps
-    are written as it ends, so memory holds one episode's log at a time; a
-    run that fails leaves no steps.csv."""
-    with _CsvFile(os.path.join(spec.out_dir, "steps.csv"), STEPS_HEADER) as steps:
-        artifacts = _execute_runs(spec, steps)
-    _write_csv(os.path.join(spec.out_dir, "sensors.csv"),
-               SENSORS_HEADER, artifacts.sensor_lines)
-    _write_csv(os.path.join(spec.out_dir, "summary.csv"),
-               SUMMARY_HEADER, artifacts.summary_lines)
+    """One episode per replicate seed. Each run's lines of steps.csv,
+    sensors.csv and summary.csv are formatted from its log and written as
+    it ends, so memory holds one episode's log at a time; a run that fails
+    leaves none of the three. Writes the world config (world.json) that
+    replay reads back."""
+    summaries = []
+    with _CsvFile(os.path.join(spec.out_dir, "steps.csv"), STEPS_HEADER) as steps, \
+            _CsvFile(os.path.join(spec.out_dir, "sensors.csv"), SENSORS_HEADER) as sensors, \
+            _CsvFile(os.path.join(spec.out_dir, "summary.csv"), SUMMARY_HEADER) as table:
+        for seed in spec.seeds:
+            run_id = f"{spec.policy}-s{seed}"
+            world = init_world(spec.world, seed=seed)
+            policy = build_policy(spec)
+            started = time.perf_counter()
+            summary = run_episode(world, policy, run_id=run_id)
+            summary.wall_ms = (time.perf_counter() - started) * 1000.0
+            summaries.append(summary)
+            steps.write(_step_lines(run_id, world))
+            sensors.write(
+                SENSORS_LINE % (run_id, j, x, y, mean, final)
+                for j, ((x, y), mean, final) in enumerate(zip(
+                    world.pos.tolist(), summary.per_sensor_mean_aoi,
+                    summary.per_sensor_final_aoi), start=1))
+            table.write((SUMMARY_LINE % (
+                run_id, spec.policy, spec.world.n_sensors, seed,
+                summary.time_avg_aoi_s, summary.success_rate, summary.wall_ms),))
+            if isinstance(policy, IclPolicy):
+                policy.write_exchange_log(
+                    os.path.join(spec.out_dir, f"exchanges-{run_id}.log"))
     save_world_config(spec.world, os.path.join(spec.out_dir, "world.json"))
-    return artifacts.summaries
+    return summaries
 
 
 def _check_ppo_params_fit(spec: ExperimentSpec, counts: Sequence[int]) -> None:
@@ -226,19 +203,18 @@ def sweep_sensors(spec: ExperimentSpec, policies: Sequence[str],
     if "ppo" in policies:
         _check_ppo_params_fit(spec, counts)
     rows = []
-    for n in counts:
-        for policy in policies:
-            sub = ExperimentSpec(
-                world=spec.world.replace(n_sensors=n),
-                policy=policy, seeds=list(spec.seeds),
-                out_dir=os.path.join(spec.out_dir, f"n{n}-{policy}"),
-                icl=spec.icl, ppo_params_path=spec.ppo_params_path)
-            summaries = run_experiment(sub)
-            values = np.array([s.time_avg_aoi_s for s in summaries])
-            rows.append((n, policy, float(values.mean()),
-                         float(values.std()), len(values)))
-    _write_csv(os.path.join(spec.out_dir, "sweep.csv"), SWEEP_HEADER,
-               map(SWEEP_LINE.__mod__, rows))
+    with _CsvFile(os.path.join(spec.out_dir, "sweep.csv"), SWEEP_HEADER) as table:
+        for n in counts:
+            for policy in policies:
+                sub = ExperimentSpec(
+                    world=spec.world.replace(n_sensors=n),
+                    policy=policy, seeds=list(spec.seeds),
+                    out_dir=os.path.join(spec.out_dir, f"n{n}-{policy}"),
+                    icl=spec.icl, ppo_params_path=spec.ppo_params_path)
+                values = np.array([s.time_avg_aoi_s for s in run_experiment(sub)])
+                rows.append((n, policy, float(values.mean()),
+                             float(values.std()), len(values)))
+                table.write((SWEEP_LINE % rows[-1],))
     return rows
 
 
@@ -294,13 +270,12 @@ def _replay_rows(path: str, reader, cfg: WorldConfig) -> int:
     if header != STEPS_HEADER.split(","):
         raise ReplayDivergence(f"{path}: unexpected header {header}")
     rows = _parsed_rows(path, reader)
-    replayed, run_id, world = set(), None, None
+    frames, run_id, world = {}, None, None  # run id -> steps replayed
     for rid, k, action, row, line in rows:
         if rid != run_id:
-            if rid in replayed:
+            if rid in frames:
                 raise ReplayDivergence(f"{path} line {line}: the rows of {rid} are "
                                        "not contiguous")
-            replayed.add(rid)
             run_id, world = rid, init_world(cfg, seed=_seed_from_run_id(rid))
         if k != world.frames or k >= cfg.n_steps:
             raise _step_fault(path, run_id, k, line, world.frames, cfg.n_steps, rows)
@@ -309,24 +284,30 @@ def _replay_rows(path: str, reader, cfg: WorldConfig) -> int:
         except ActionError as exc:
             raise ReplayDivergence(
                 f"replay divergence at step {k} of {run_id}: {exc}") from exc
-        avg_aoi = fmt(world.avg_aoi_log[-1])
-        if avg_aoi != row[5]:
-            raise ReplayDivergence(
-                f"replay divergence at step {k} of {run_id}: "
-                f"avg_aoi_s {avg_aoi} != logged {row[5]}")
-        if ("1" if world.success_log[-1] else "0") != row[4]:
-            raise ReplayDivergence(
-                f"replay divergence at step {k} of {run_id}: success flag")
-    return len(replayed)
+        frames[rid] = k + 1
+        expected = STEPS_LINE % (rid, k, world.sensor_log[k], world.velocity_log[k],
+                                 world.success_log[k], world.avg_aoi_log[k])
+        if expected != ",".join(row) + "\n":
+            column, want, got = next(cells for cells in zip(
+                STEPS_HEADER.split(","), expected[:-1].split(","), row)
+                if cells[1] != cells[2])
+            raise ReplayDivergence(f"replay divergence at step {k} of {run_id}: "
+                                   f"{column} {want} != logged {got}")
+    for rid, n in frames.items():
+        if n < cfg.n_steps:
+            raise ReplayDivergence(f"{rid} logs {n} steps, short of the world's "
+                                   f"horizon of {cfg.n_steps}")
+    return len(frames)
 
 
 def replay_steps_csv(path: str, cfg: WorldConfig) -> int:
-    """Re-simulate each run from its logged action sequence, a row at a
-    time as the file is read, and require the rendered avg_aoi_s (and
-    success flag) to match exactly. Returns the number of verified runs.
-    A run's rows must be contiguous, with steps 0, 1, ... in order and
-    within the horizon; a malformed row, a gap, a repeated step, a step out
-    of order and a run past the horizon are named."""
+    """Re-simulate each run from its logged actions, a row at a time as the
+    file is read, render each replayed step with STEPS_LINE and require the
+    row to match it exactly; a mismatch names the first cell that differs.
+    Returns the number of verified runs. A run's rows must be contiguous,
+    with steps 0, 1, ... in order up to the horizon; a malformed row, a
+    gap, a repeated step, a step out of order, a run past the horizon and a
+    run short of it are named."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:

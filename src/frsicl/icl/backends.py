@@ -22,6 +22,7 @@ if TYPE_CHECKING:
 API_KEY_ENV = "FRSICL_API_KEY"
 
 MOCK_STRATEGIES = ("max-aoi", "nearest", "invalid")
+MOCK_SPECS = tuple(f"mock:{strategy}" for strategy in MOCK_STRATEGIES)
 
 # Decoding settings of every HTTP request: greedy and short, since the
 # reply is one small JSON object.
@@ -159,13 +160,18 @@ class MockBackend:
         return json.dumps({"sensor": best["id"], "velocity": v_max})
 
 
-def make_backend(backend_spec: str, endpoint: Optional[str], model: str,
-                 timeout_s: float):
-    """backend_spec is 'http' or 'mock:<strategy>'."""
-    if backend_spec == "http":
-        if not endpoint:
-            raise ValueError("http backend requires an endpoint URL")
-        return HttpBackend(endpoint, model, timeout_s)
-    if backend_spec.startswith("mock:"):
-        return MockBackend(backend_spec.split(":", 1)[1])
-    raise ValueError(f"unknown backend {backend_spec!r}")
+def check_backend(spec: str) -> None:
+    """ValueError unless `spec` names a backend: 'mock:<strategy>' for one of
+    MOCK_STRATEGIES, or an http:// or https:// endpoint URL."""
+    if spec not in MOCK_SPECS and not spec.startswith(("http://", "https://")):
+        raise ValueError(f"unknown backend {spec!r}; give one of "
+                         f"{', '.join(MOCK_SPECS)} or an http:// or https:// "
+                         "endpoint URL")
+
+
+def make_backend(spec: str, model: str, timeout_s: float):
+    """The backend `spec` names (see check_backend)."""
+    check_backend(spec)
+    if spec in MOCK_SPECS:
+        return MockBackend(spec[len("mock:"):])
+    return HttpBackend(spec, model, timeout_s)

@@ -16,7 +16,7 @@ from ..policies import max_aoi_decide
 from ..rng import RngStream
 from ..env import World
 from ..states import Action, Observation
-from .backends import BackendError, make_backend
+from .backends import BackendError, check_backend, make_backend
 from .parsing import ParseError, parse_action
 from .pool import ExperiencePool, ExperienceRecord
 from .prompts import build_step_prompt, build_system_prompt, corrective_line
@@ -30,12 +30,12 @@ TOP_K_EXAMPLES = 4
 
 @dataclass
 class IclConfig:
-    endpoint: Optional[str] = None
     model: str = "gpt-4o-mini"
     timeout_s: float = 10.0
-    backend: str = "mock:max-aoi"  # "http" | "mock:max-aoi" | "mock:nearest" | "mock:invalid"
+    backend: str = "mock:max-aoi"  # "mock:<strategy>" or an http(s):// endpoint URL
 
     def __post_init__(self):
+        check_backend(self.backend)
         # also False for NaN
         if not 0.0 < self.timeout_s < float("inf"):
             raise ValueError(f"timeout_s must be finite and positive, got {self.timeout_s!r}")
@@ -108,7 +108,7 @@ class IclPolicy:
     def __init__(self, world_cfg: WorldConfig, icl_cfg: IclConfig, backend=None):
         self.world_cfg = world_cfg
         self.backend = backend if backend is not None else make_backend(
-            icl_cfg.backend, icl_cfg.endpoint, icl_cfg.model, icl_cfg.timeout_s)
+            icl_cfg.backend, icl_cfg.model, icl_cfg.timeout_s)
         self.pool = ExperiencePool()
         self.exchanges: List[LlmExchange] = []
         self.system_prompt = build_system_prompt(world_cfg)
@@ -129,7 +129,7 @@ class IclPolicy:
         self.pool.add(ExperienceRecord(
             features=self._features,
             action=Action(world.sensor_log[k], world.velocity_log[k]),
-            outcome_avg_aoi=world.avg_aoi_log[k], step=k,
+            outcome_avg_aoi=world.avg_aoi_log[k],
             avg_aoi_before_s=sum(obs.aoi_s.tolist()) / len(obs.aoi_s)))
         self._step_index += 1
 

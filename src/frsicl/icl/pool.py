@@ -21,7 +21,6 @@ class ExperienceRecord:
     features: np.ndarray
     action: Action
     outcome_avg_aoi: float
-    step: int
     avg_aoi_before_s: float  # mean AoI of the observed state, seconds
 
 

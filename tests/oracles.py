@@ -197,3 +197,12 @@ def eligible_or_all(values: np.ndarray, eligible: np.ndarray, fill: float) -> np
     eligible. The first argmin (argmax) of it, with fill inf (-inf), is the
     nearest (stalest) sensor's index."""
     return np.where(eligible, values, fill) if eligible.any() else values
+
+
+# --- CSV cell rendering ---------------------------------------------------
+
+def fmt(x: float) -> str:
+    """A float cell as the CSV formats should render it: 6 significant
+    digits, '.' separator, by format() on a Python float rather than by
+    the "%" operator the harness applies to its line formats."""
+    return f"{float(x):.6g}"

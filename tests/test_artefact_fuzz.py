@@ -17,12 +17,13 @@ import re
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frsicl.cli import cli_main
 
 SMALL_WORLD = {"n_sensors": 3, "n_steps": 8}
+STEPS_ROWS = 1 + 2 * SMALL_WORLD["n_steps"]  # the header, then seeds 0 and 1
 EXIT_CODES = {0, 1, 2}
 
 CELL_TEXT = st.one_of(
@@ -78,28 +79,48 @@ def test_unmutated_artefacts_replay_and_evaluate(artefacts):
     assert run_cli(artefacts, "eval-ppo") == 0
 
 
+def harness_form(column, text, world):
+    """Whether `text` is how the harness writes a value in steps.csv column
+    2 or 3: a sensor as "%d", a velocity as "%.6g" after the world's clamp."""
+    try:
+        if column == 2:
+            return text == "%d" % int(text)
+        velocity = min(max(float(text), world["v_min_mps"]), world["v_max_mps"])
+        return text == "%.6g" % velocity
+    except ValueError:
+        return False
+
+
 @settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_steps_csv_cell_or_row(artefacts, data):
+@given(r=st.integers(0, STEPS_ROWS - 1), c=st.integers(0, 5),
+       kind=st.sampled_from(["replace", "truncate", "extend", "duplicate", "delete"]),
+       text=CELL_TEXT)
+@example(r=4, c=3, kind="replace", text="-1")  # a velocity below v_min_mps
+@example(r=STEPS_ROWS - 1, c=0, kind="delete", text="")  # maxaoi-s1 stops short
+@example(r=STEPS_ROWS - 1, c=0, kind="truncate", text="")  # a blank last line
+def test_steps_csv_cell_or_row(artefacts, r, c, kind, text):
+    """A changed steps.csv replays with exit 0 only when the edit puts a
+    sensor or velocity of a data row in the form the harness writes it."""
     rows = list(csv.reader(io.StringIO(artefacts["steps.csv"].decode())))
-    r = data.draw(st.integers(0, len(rows) - 1), label="row")
-    c = data.draw(st.integers(0, len(rows[r]) - 1), label="column")
-    kind = data.draw(st.sampled_from(
-        ["replace", "truncate", "extend", "duplicate", "delete"]), label="kind")
+    assert len(rows) == STEPS_ROWS
     if kind == "replace":
-        rows[r][c] = data.draw(CELL_TEXT, label="text")
+        rows[r][c] = text
     elif kind == "truncate":
         del rows[r][c:]
     elif kind == "extend":
-        rows[r].append(data.draw(CELL_TEXT, label="text"))
+        rows[r].append(text)
     elif kind == "duplicate":
         rows.append(list(rows[r]))
     else:
         del rows[r]
-    text = io.StringIO()
-    csv.writer(text, lineterminator="\n").writerows(rows)
-    files = dict(artefacts, **{"steps.csv": text.getvalue().encode()})
-    assert run_cli(files, "replay") in EXIT_CODES
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    steps = out.getvalue().encode()
+    code = run_cli(dict(artefacts, **{"steps.csv": steps}), "replay")
+    assert code in EXIT_CODES
+    if code == 0 and steps != artefacts["steps.csv"]:
+        assert kind == "replace" and r != 0 and c in (2, 3)
+        assert harness_form(c, text, json.loads(artefacts["world.json"]))
 
 
 @settings(max_examples=60, deadline=None)

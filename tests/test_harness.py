@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 from frsicl import harness
 from frsicl.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, cli_main
 from frsicl.config import ConfigError, WorldConfig, load_world_config
-from frsicl.harness import (ExperimentSpec, ReplayDivergence, fmt,
+from frsicl.harness import (ExperimentSpec, ReplayDivergence,
                             replay_steps_csv, run_experiment, sweep_sensors)
 from frsicl.ppo import init_params, save_params
+
+from oracles import fmt
 
 CFG = WorldConfig()
 
@@ -30,13 +32,16 @@ def read_csv(path):
 
 
 class TestFmt:
+    """The "%.6g" float cell of every line format, and the oracle fmt that
+    TestLineFormats checks the formats against."""
+
     def test_six_significant_digits(self):
-        assert fmt(3.14159265) == "3.14159"
-        assert fmt(0.000123456789) == "0.000123457"
-        assert fmt(15.0) == "15"
+        for x, text in ((3.14159265, "3.14159"), (0.000123456789, "0.000123457"),
+                        (15.0, "15")):
+            assert "%.6g" % x == fmt(x) == text
 
     def test_integers_stay_compact(self):
-        assert fmt(100.0) == "100"
+        assert "%.6g" % 100.0 == fmt(100.0) == "100"
 
 
 # Floats of every magnitude, as Python or numpy scalars: -0.0, subnormals,
@@ -184,6 +189,7 @@ class TestRunExperiment:
         run_experiment(spec)
         assert read_csv(tmp_path / "out" / "steps.csv") == [
             "run_id,step,selected_sensor,velocity_mps,success,avg_aoi_s".split(",")]
+        assert replay_steps_csv(str(tmp_path / "out" / "steps.csv"), CFG) == 0
 
 
 class TestSweep:
@@ -214,7 +220,7 @@ class TestReplay:
         path = tmp_path / "out" / "steps.csv"
         lines = path.read_text().splitlines()
         cells = lines[5].split(",")
-        cells[-1] = fmt(float(cells[-1]) + 0.5)
+        cells[-1] = "%.6g" % (float(cells[-1]) + 0.5)
         lines[5] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ReplayDivergence, match="replay divergence at step"):
@@ -322,6 +328,18 @@ class TestCli:
                          "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_VALIDATION
         assert "--mock-llm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,match", [
+        (["--llm-endpoint", "ftp://example"], "unknown backend 'ftp://example'"),
+        (["--mock-llm", "max-aoi", "--llm-endpoint", "http://x"], "not allowed with"),
+    ], ids=["ftp-endpoint", "mock-and-endpoint"])
+    def test_one_valid_backend_or_exit_1(self, tmp_path, capsys, flags, match):
+        out = tmp_path / "out"
+        assert cli_main(["run", "--policy", "icl", *flags,
+                         "--out-dir", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert match in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_icl_with_mock_ok(self, tmp_path):
         out = tmp_path / "out"
@@ -495,11 +513,33 @@ class TestReplayCli:
             seeds=(0, 1))
         assert "line 61: the rows of maxaoi-s0 are not contiguous" in err
 
+    def test_run_short_of_the_horizon(self, tmp_path, capsys):
+        # the last 21 of the 30 rows of maxaoi-s1 cut off
+        err = self.replay_edited(tmp_path, capsys, lambda lines: lines[:-21],
+                                 seeds=(0, 1))
+        assert "maxaoi-s1 logs 9 steps, short of the world's horizon of 30" in err
+
+    @pytest.mark.parametrize("column,text,match", [
+        (3, "99", "velocity_mps 15 != logged 99"),
+        (3, "15.000", "velocity_mps 15 != logged 15.000"),
+        (3, "-1", "velocity_mps 0 != logged -1"),
+        (2, "+1", "selected_sensor 1 != logged +1"),
+        (1, "03", "step 3 != logged 03"),
+    ], ids=["velocity-past-v-max", "velocity-zeros", "velocity-below-v-min",
+            "sensor-sign", "step-zero-padded"])
+    def test_cell_not_as_the_harness_writes_it(self, tmp_path, capsys, column, text, match):
+        def edit(lines):
+            cells = lines[4].split(",")
+            cells[column] = text
+            return lines[:4] + [",".join(cells)] + lines[5:]
+        err = self.replay_edited(tmp_path, capsys, edit)
+        assert f"replay divergence at step 3 of maxaoi-s0: {match}" in err
+
     def test_rows_replay_as_they_are_read(self, tmp_path, capsys):
         # a divergence at step 2 is found before the malformed last line is read
         def edit(lines):
             cells = lines[3].split(",")
-            cells[-1] = fmt(float(cells[-1]) + 0.5)
+            cells[-1] = "%.6g" % (float(cells[-1]) + 0.5)
             return lines[:3] + [",".join(cells)] + lines[4:] + ["maxaoi-s0,30"]
         err = self.replay_edited(tmp_path, capsys, edit)
         assert "replay divergence at step 2 of maxaoi-s0: avg_aoi_s" in err

@@ -41,11 +41,10 @@ def make_obs(aois, path_losses=None, eligible=None, t_s=0.0):
                        eligible=np.array(eligible, dtype=bool))
 
 
-def make_record(features, sensor=1, velocity=7.5, outcome=3.0, step=0,
-                before=2.0):
+def make_record(features, sensor=1, velocity=7.5, outcome=3.0, before=2.0):
     return ExperienceRecord(features=np.asarray(features, dtype=np.float64),
                             action=Action(sensor=sensor, velocity_mps=velocity),
-                            outcome_avg_aoi=outcome, step=step,
+                            outcome_avg_aoi=outcome,
                             avg_aoi_before_s=before)
 
 
@@ -88,7 +87,7 @@ class TestPrompts:
     def test_step_prompt_pure(self):
         obs = make_obs([1, 2, 3])
         cfg = CFG.replace(n_sensors=3)
-        examples = [make_record(np.zeros(10), step=4)]
+        examples = [make_record(np.zeros(10))]
         assert build_step_prompt(obs, examples, cfg) == \
             build_step_prompt(obs, examples, cfg)
 
@@ -120,21 +119,21 @@ class TestExperiencePool:
     def test_k_larger_than_size_returns_all(self):
         pool = ExperiencePool(8)
         for i in range(3):
-            pool.add(make_record([float(i), 0.0], step=i))
+            pool.add(make_record([float(i), 0.0]))
         assert len(pool.retrieve(np.zeros(2), 10)) == 3
 
     def test_exact_match_retrieved(self):
         pool = ExperiencePool(8)
         for i in range(5):
-            pool.add(make_record([float(i + 1), 0.0], sensor=i + 1, step=i))
+            pool.add(make_record([float(i + 1), 0.0], sensor=i + 1))
         got = pool.retrieve(np.array([3.0, 0.0]), 1)
         assert got[0].action.sensor == 3
 
     def test_tie_goes_to_newer_result_chronological(self):
         pool = ExperiencePool(8)
-        pool.add(make_record([1.0, 0.0], sensor=1, step=0))
-        pool.add(make_record([-1.0, 0.0], sensor=2, step=1))  # same distance
-        pool.add(make_record([5.0, 0.0], sensor=3, step=2))
+        pool.add(make_record([1.0, 0.0], sensor=1))
+        pool.add(make_record([-1.0, 0.0], sensor=2))  # same distance
+        pool.add(make_record([5.0, 0.0], sensor=3))
         got = pool.retrieve(np.zeros(2), 1)
         assert got[0].action.sensor == 2
         two = pool.retrieve(np.zeros(2), 2)
@@ -145,7 +144,7 @@ class TestExperiencePool:
         pool = ExperiencePool(64)
         feats = rng.normal(size=(40, 6))
         for i, f in enumerate(feats):
-            pool.add(make_record(f, sensor=(i % 10) + 1, step=i))
+            pool.add(make_record(f, sensor=(i % 10) + 1))
         query = rng.normal(size=6)
         got = pool.retrieve(query, 5)
         expected = brute_force_top_k(list(pool.records), query, 5)
@@ -155,9 +154,9 @@ class TestExperiencePool:
     def test_ring_evicts_oldest(self):
         pool = ExperiencePool(4)
         for i in range(5):
-            pool.add(make_record([float(i)], sensor=(i % 10) + 1, step=i))
+            pool.add(make_record([float(i)], sensor=(i % 10) + 1))
         assert len(pool) == 4
-        assert [r.step for r in pool.records] == [1, 2, 3, 4]
+        assert [r.action.sensor for r in pool.records] == [2, 3, 4, 5]
 
     @settings(max_examples=300, deadline=None)
     @given(capacity=st.integers(1, 12), dim=st.integers(1, 24),
@@ -169,9 +168,9 @@ class TestExperiencePool:
         vectors = st.lists(coords, min_size=dim, max_size=dim)
         pool = ExperiencePool(capacity)
         added = []
-        for i, features in enumerate(data.draw(
-                st.lists(vectors, max_size=3 * capacity), label="adds")):
-            added.append(make_record(features, step=i))
+        for features in data.draw(st.lists(vectors, max_size=3 * capacity),
+                                  label="adds"):
+            added.append(make_record(features))
             pool.add(added[-1])
         kept = added[-capacity:]
         assert [id(r) for r in pool.records] == [id(r) for r in kept]
@@ -190,8 +189,8 @@ class TestExperiencePool:
         query = np.array([-1, .5, .3, .3, .5, .5, .3, 0, 1, 1, 1, .5,
                           .5, .3, 0, 1, -1, .3, .1, .5, -1, .5, -1, .3])
         pool = ExperiencePool(4)
-        pool.add(make_record(b, step=0))
-        pool.add(make_record(a, step=1))
+        pool.add(make_record(b))
+        pool.add(make_record(a))
         assert [id(r) for r in pool.retrieve(query, 1)] == \
             [id(r) for r in brute_force_top_k(list(pool.records), query, 1)]
 
@@ -379,13 +378,19 @@ class TestMockBackends:
             MockBackend("wizard")
 
     def test_make_backend_specs(self):
-        assert isinstance(make_backend("mock:nearest", None, "m", 1.0), MockBackend)
-        http = make_backend("http", "http://x", "m", 1.0)
-        assert isinstance(http, HttpBackend) and http.model == "m"
-        with pytest.raises(ValueError):
-            make_backend("http", None, "m", 1.0)
-        with pytest.raises(ValueError):
-            make_backend("carrier-pigeon", None, "m", 1.0)
+        assert isinstance(make_backend("mock:nearest", "m", 1.0), MockBackend)
+        for url in ("http://x", "https://x/"):
+            http = make_backend(url, "m", 1.0)
+            assert isinstance(http, HttpBackend) and http.model == "m"
+            assert http.endpoint == "%s://x" % url.split(":")[0]
+
+    @pytest.mark.parametrize("spec", ["http", "carrier-pigeon", "ftp://example",
+                                      "mock:wizard", "mock:", ""])
+    def test_unknown_backend_rejected_before_a_run(self, spec):
+        with pytest.raises(ValueError, match="unknown backend"):
+            make_backend(spec, "m", 1.0)
+        with pytest.raises(ValueError, match="unknown backend"):
+            IclConfig(backend=spec)
 
 
 def decide(obs, backend, cfg, log, step_index=0):
@@ -672,7 +677,7 @@ class TestNonStringContent:
         with pytest.raises(BackendError, match="malformed completion body"):
             backend.complete("sys", "usr")
         cfg = CFG.replace(n_steps=4)
-        policy = IclPolicy(cfg, IclConfig(backend="http", endpoint="http://unused"),
+        policy = IclPolicy(cfg, IclConfig(backend="http://unused"),
                            backend=backend)
         world = init_world(cfg, seed=1)
         summary = run_episode(world, policy)

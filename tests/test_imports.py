@@ -49,7 +49,7 @@ def test_http_stack_loads_only_with_an_http_backend():
         "import sys\n"
         "import frsicl, frsicl.cli, frsicl.harness, frsicl.icl\n"
         "print(sorted(m for m in ('requests', 'urllib3', 'ssl') if m in sys.modules))\n"
-        "frsicl.icl.make_backend('http', 'http://x', 'm', 1.0)\n"
+        "frsicl.icl.make_backend('http://x', 'm', 1.0)\n"
         "print('requests' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
