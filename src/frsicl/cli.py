@@ -13,11 +13,11 @@ from typing import List, Optional
 
 from .config import ConfigError, WorldConfig, load_world_config
 from .env import init_world
-from .harness import (POLICY_NAMES, ExperimentSpec, ReplayDivergence,
+from .harness import (POLICY_NAMES, ExperimentSpec, OutputDir, ReplayDivergence,
                       replay_steps_csv, run_experiment, sweep_sensors)
 from .icl import IclConfig
 from .icl.backends import MOCK_STRATEGIES
-from .ppo import PpoConfig, evaluate, load_params, save_params, train
+from .ppo import PpoConfig, evaluate, load_params, save_params, train, write_curve
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -120,7 +120,7 @@ def build_parser() -> _Parser:
     p_train = sub.add_parser("train-ppo", help="train the PPO baseline")
     p_train.add_argument("--config")
     p_train.add_argument("--seed", default="0")
-    p_train.add_argument("--episodes", type=int, default=2000)
+    p_train.add_argument("--episodes", type=int, default=PpoConfig.episodes)
     p_train.add_argument("--out-dir", default="out")
 
     p_eval = sub.add_parser("eval-ppo", help="evaluate trained PPO parameters")
@@ -151,8 +151,7 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
                 world=cfg, policy=args.policy, seeds=_parse_seeds(args.seed),
                 out_dir=args.out_dir, icl=_icl_from_args(args, args.policy),
                 ppo_params_path=args.ppo_params)
-            summaries = run_experiment(spec)
-            for s in summaries:
+            for s in run_experiment(spec):
                 print(f"{s.run_id}: time_avg_aoi_s={s.time_avg_aoi_s:.6g} "
                       f"success_rate={s.success_rate:.6g}")
             return EXIT_OK
@@ -176,12 +175,11 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
             seed = _single_seed(args.seed)
             ppo_cfg = PpoConfig(episodes=args.episodes,
                                 steps_per_episode=cfg.n_steps)
-            os.makedirs(args.out_dir, exist_ok=True)
-            result = train(cfg, ppo_cfg, seed,
-                           curve_path=os.path.join(args.out_dir,
-                                                   "learning_curve.csv"))
+            with OutputDir(args.out_dir) as out:
+                result = train(cfg, ppo_cfg, seed)
+                write_curve(result.curve, out.staged("learning_curve.csv"))
+                save_params(result.params, out.staged("ppo_params.bin"))
             params_path = os.path.join(args.out_dir, "ppo_params.bin")
-            save_params(result.params, params_path)
             print(f"trained {args.episodes} episodes; params -> {params_path}")
             return EXIT_OK
 
@@ -203,7 +201,7 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
             return EXIT_OK
 
         parser.error(f"unknown command {args.command!r}")
-    except (ConfigError, ReplayDivergence, ValueError) as exc:
+    except (ConfigError, ReplayDivergence, ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -9,7 +9,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from itertools import repeat, takewhile
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
@@ -79,70 +79,69 @@ def build_policy(spec: ExperimentSpec):
     raise ConfigError(f"unknown policy {spec.policy!r}")
 
 
-class _CsvFile:
-    """A CSV file written under a temporary name, a block of lines at a
-    time, and renamed to `path` when the `with` block ends; if the block
-    raises, the partial file is removed, and so is its directory if this
-    made it and nothing else is in it. The file and directory are made
-    with the first block."""
+class OutputDir:
+    """Stages every file of one command in the directory `path`, made on
+    entry, as "<name>.partial"; a clean exit renames each to its name, and
+    an exception removes the partials and the empty directories made."""
 
-    def __init__(self, path: str, header: str):
+    def __init__(self, path: str):
         self.path = path
-        self.header = header
-        self._partial = path + ".partial"
-        self._made_dir = None
-        self._fh = None
+        self._made, self._staged, self._handles = [], [], contextlib.ExitStack()
 
-    def write(self, lines: Iterable[str]) -> None:
+    def __enter__(self) -> "OutputDir":
+        level = os.path.abspath(self.path)
+        while not os.path.lexists(level):
+            self._made.append(level)  # deepest first
+            level = os.path.dirname(level)
         try:
-            if self._fh is None:
-                directory = os.path.dirname(self.path) or "."
-                if not os.path.isdir(directory):
-                    os.makedirs(directory)
-                    self._made_dir = directory
-                self._fh = open(self._partial, "w", newline="", encoding="utf-8")
-                self._fh.write(self.header + "\n")
-            self._fh.writelines(lines)
-            self._fh.flush()
+            os.makedirs(self.path, exist_ok=True)
         except OSError as exc:
-            raise IOError(f"cannot write {self.path}: {exc}") from exc
-
-    def __enter__(self) -> "_CsvFile":
+            self.__exit__(OSError, exc, None)
+            raise
         return self
 
+    def staged(self, name: str) -> str:
+        """The path `name` is written at until the block ends."""
+        self._staged.append(os.path.join(self.path, name))
+        return self._staged[-1] + ".partial"
+
+    def open(self, name: str, header: str) -> TextIO:
+        """A text handle on the staged `name`, begun with the header line."""
+        fh = self._handles.enter_context(
+            open(self.staged(name), "w", newline="", encoding="utf-8"))
+        fh.write(header + "\n")
+        return fh
+
     def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.write(())
-            try:
-                self._fh.close()
-                os.replace(self._partial, self.path)
-            except OSError as exc:
-                raise IOError(f"cannot write {self.path}: {exc}") from exc
-        elif self._fh is not None:
-            self._fh.close()
+        try:
+            self._handles.close()  # closes every handle, even past one that fails
+            if exc_type is None:
+                for path in self._staged:
+                    os.replace(path + ".partial", path)
+                return
+        except OSError as failed:
+            exc = exc or failed
+        for path in self._staged:
             with contextlib.suppress(OSError):
-                os.remove(self._partial)
-                if self._made_dir is not None:
-                    os.rmdir(self._made_dir)
-
-
-def _step_lines(run_id: str, world) -> Iterator[str]:
-    """steps.csv lines of a finished run, formatted from its log columns."""
-    return map(STEPS_LINE.__mod__, zip(
-        repeat(run_id), range(world.frames), world.sensor_log, world.velocity_log,
-        world.success_log, world.avg_aoi_log))
+                os.remove(path + ".partial")
+        for level in self._made:
+            with contextlib.suppress(OSError):
+                os.rmdir(level)
+        # publishing failed, or a write, flush or close, which names no file
+        if exc_type is None or isinstance(exc, OSError) and exc.filename is None:
+            raise IOError(f"cannot write into {self.path}: {exc}") from exc
 
 
 def run_experiment(spec: ExperimentSpec) -> List[RunSummary]:
-    """One episode per replicate seed. Each run's lines of steps.csv,
-    sensors.csv and summary.csv are formatted from its log and written as
-    it ends, so memory holds one episode's log at a time; a run that fails
-    leaves none of the three. Writes the world config (world.json) that
-    replay reads back."""
+    """One episode per replicate seed, all files in one OutputDir. As each
+    run ends, its lines of steps.csv, sensors.csv and summary.csv (and an
+    ICL run's exchanges-<run id>.log) are written, so memory holds one
+    episode's log. world.json holds the config replay reads back."""
     summaries = []
-    with _CsvFile(os.path.join(spec.out_dir, "steps.csv"), STEPS_HEADER) as steps, \
-            _CsvFile(os.path.join(spec.out_dir, "sensors.csv"), SENSORS_HEADER) as sensors, \
-            _CsvFile(os.path.join(spec.out_dir, "summary.csv"), SUMMARY_HEADER) as table:
+    with OutputDir(spec.out_dir) as out:
+        steps = out.open("steps.csv", STEPS_HEADER)
+        sensors = out.open("sensors.csv", SENSORS_HEADER)
+        table = out.open("summary.csv", SUMMARY_HEADER)
         for seed in spec.seeds:
             run_id = f"{spec.policy}-s{seed}"
             world = init_world(spec.world, seed=seed)
@@ -151,19 +150,22 @@ def run_experiment(spec: ExperimentSpec) -> List[RunSummary]:
             summary = run_episode(world, policy, run_id=run_id)
             summary.wall_ms = (time.perf_counter() - started) * 1000.0
             summaries.append(summary)
-            steps.write(_step_lines(run_id, world))
-            sensors.write(
+            steps.writelines(map(STEPS_LINE.__mod__, zip(
+                repeat(run_id), range(world.frames), world.sensor_log,
+                world.velocity_log, world.success_log, world.avg_aoi_log)))
+            sensors.writelines(
                 SENSORS_LINE % (run_id, j, x, y, mean, final)
                 for j, ((x, y), mean, final) in enumerate(zip(
                     world.pos.tolist(), summary.per_sensor_mean_aoi,
                     summary.per_sensor_final_aoi), start=1))
-            table.write((SUMMARY_LINE % (
+            table.write(SUMMARY_LINE % (
                 run_id, spec.policy, spec.world.n_sensors, seed,
-                summary.time_avg_aoi_s, summary.success_rate, summary.wall_ms),))
+                summary.time_avg_aoi_s, summary.success_rate, summary.wall_ms))
+            for fh in (steps, sensors, table):
+                fh.flush()
             if isinstance(policy, IclPolicy):
-                policy.write_exchange_log(
-                    os.path.join(spec.out_dir, f"exchanges-{run_id}.log"))
-    save_world_config(spec.world, os.path.join(spec.out_dir, "world.json"))
+                policy.write_exchange_log(out.staged(f"exchanges-{run_id}.log"))
+        save_world_config(spec.world, out.staged("world.json"))
     return summaries
 
 
@@ -188,7 +190,7 @@ def _check_ppo_params_fit(spec: ExperimentSpec, counts: Sequence[int]) -> None:
 def sweep_sensors(spec: ExperimentSpec, policies: Sequence[str],
                   counts: Sequence[int] = (5, 10, 15)) -> List[Tuple[int, str, float, float, int]]:
     """Sensor-count sweep: every count x policy x seed; aggregates the
-    per-run time-averaged AoI. Emits sweep.csv. Empty or repeated lists,
+    per-run time-averaged AoI into sweep.csv. Empty or repeated lists,
     an unknown policy and a count the config rejects fail before the first
     run; so does, with "ppo" among the policies, a parameters file that
     misfits a count."""
@@ -203,7 +205,8 @@ def sweep_sensors(spec: ExperimentSpec, policies: Sequence[str],
     if "ppo" in policies:
         _check_ppo_params_fit(spec, counts)
     rows = []
-    with _CsvFile(os.path.join(spec.out_dir, "sweep.csv"), SWEEP_HEADER) as table:
+    with OutputDir(spec.out_dir) as out:
+        table = out.open("sweep.csv", SWEEP_HEADER)
         for n in counts:
             for policy in policies:
                 sub = ExperimentSpec(
@@ -214,7 +217,7 @@ def sweep_sensors(spec: ExperimentSpec, policies: Sequence[str],
                 values = np.array([s.time_avg_aoi_s for s in run_experiment(sub)])
                 rows.append((n, policy, float(values.mean()),
                              float(values.std()), len(values)))
-                table.write((SWEEP_LINE % rows[-1],))
+                table.write(SWEEP_LINE % rows[-1])
     return rows
 
 

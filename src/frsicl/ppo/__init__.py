@@ -4,7 +4,7 @@ from .io import ParamsFileError, load_params, save_params
 from .loss import Minibatch, ppo_loss_and_grads
 from .net import (MlpParams, N_VELOCITY_BINS, VELOCITY_FRACTIONS, forward,
                   init_params, log_softmax, sample_action, velocity_from_bin)
-from .train import PpoConfig, PpoPolicy, TrainResult, evaluate, train
+from .train import PpoConfig, PpoPolicy, TrainResult, evaluate, train, write_curve
 
 __all__ = [
     "AdamState", "adam_update", "gae_advantages", "normalize_advantages",
@@ -12,5 +12,5 @@ __all__ = [
     "ppo_loss_and_grads", "MlpParams", "N_VELOCITY_BINS",
     "VELOCITY_FRACTIONS", "forward", "init_params", "log_softmax",
     "sample_action", "velocity_from_bin", "PpoConfig", "PpoPolicy",
-    "TrainResult", "evaluate", "train",
+    "TrainResult", "evaluate", "train", "write_curve",
 ]

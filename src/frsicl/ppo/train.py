@@ -106,11 +106,11 @@ def default_world_factory(cfg: WorldConfig, seed: int) -> Callable[[int], World]
 
 
 def train(cfg: WorldConfig, ppo_cfg: PpoConfig, seed: int,
-          world_factory: Optional[Callable[[int], World]] = None,
-          curve_path: Optional[str] = None) -> TrainResult:
+          world_factory: Optional[Callable[[int], World]] = None) -> TrainResult:
     """Train for ppo_cfg.episodes episodes, each one run_episode of a
     sampling PpoPolicy on a world of world_factory; returns parameters and
-    the per-episode learning curve. Aborts on a non-finite loss."""
+    the per-episode learning curve. Overflow ends in the FloatingPointError
+    of a non-finite loss or gradient, with numpy's warnings kept off."""
     if world_factory is None:
         world_factory = default_world_factory(
             cfg.replace(n_steps=min(cfg.n_steps, ppo_cfg.steps_per_episode)), seed)
@@ -130,33 +130,32 @@ def train(cfg: WorldConfig, ppo_cfg: PpoConfig, seed: int,
         run_episode(world, policy)
         feats, a_s, a_v, logps, values = map(np.array, zip(*policy.trajectory))
         rewards = -np.array(world.avg_aoi_log)
-        adv, rets = gae_advantages(rewards, values, ppo_cfg.gamma,
-                                   ppo_cfg.gae_lambda)
-        adv = normalize_advantages(adv)
-        n = len(rewards)
-        for _ in range(ppo_cfg.epochs_per_update):
-            order = shuffle_rng.permutation(n)
-            for start in range(0, n, ppo_cfg.minibatch_size):
-                sel = order[start:start + ppo_cfg.minibatch_size]
-                batch = Minibatch(
-                    features=feats[sel],
-                    sensor_actions=a_s[sel],
-                    velocity_actions=a_v[sel],
-                    old_log_probs=logps[sel],
-                    advantages=adv[sel],
-                    returns=rets[sel],
-                )
-                loss, grad = ppo_loss_and_grads(
-                    params, batch, ppo_cfg.clip_eps,
-                    ppo_cfg.value_coef, ppo_cfg.entropy_coef)
-                if not np.isfinite(loss):
-                    raise FloatingPointError(
-                        f"non-finite loss at episode {episode}")
-                adam_update(params, grad, adam_state, ppo_cfg.learning_rate)
+        with np.errstate(over="ignore", invalid="ignore"):
+            adv, rets = gae_advantages(rewards, values, ppo_cfg.gamma,
+                                       ppo_cfg.gae_lambda)
+            adv = normalize_advantages(adv)
+            n = len(rewards)
+            for _ in range(ppo_cfg.epochs_per_update):
+                order = shuffle_rng.permutation(n)
+                for start in range(0, n, ppo_cfg.minibatch_size):
+                    sel = order[start:start + ppo_cfg.minibatch_size]
+                    batch = Minibatch(
+                        features=feats[sel],
+                        sensor_actions=a_s[sel],
+                        velocity_actions=a_v[sel],
+                        old_log_probs=logps[sel],
+                        advantages=adv[sel],
+                        returns=rets[sel],
+                    )
+                    loss, grad = ppo_loss_and_grads(
+                        params, batch, ppo_cfg.clip_eps,
+                        ppo_cfg.value_coef, ppo_cfg.entropy_coef)
+                    if not np.isfinite(loss):
+                        raise FloatingPointError(
+                            f"non-finite loss at episode {episode}")
+                    adam_update(params, grad, adam_state, ppo_cfg.learning_rate)
         curve.append((episode, float(rewards.mean()), float(-rewards.mean())))
 
-    if curve_path is not None:
-        write_curve(curve, curve_path)
     return TrainResult(params=params, curve=curve)
 
 

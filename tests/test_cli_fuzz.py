@@ -5,8 +5,8 @@ Each option takes one of its `choices`, a value that makes sense for it, or
 a hostile value: a number at the edge of what parses, an empty list, a
 missing path, a directory, or a file where a directory belongs. Every call
 must return one of the documented exit codes (0, 1 or 2) with no traceback
-on stderr, and a call that exits 1 before its first episode must leave no
-new directory behind. A `run` that exits 0 must replay.
+on stderr, and a call that fails must leave no new directory behind. A
+`run` that exits 0 must replay.
 """
 
 import argparse
@@ -135,7 +135,7 @@ def test_any_argv_exits_with_a_documented_code(inputs, argv):
         event(f"{argv[0]} exits {code}" + (" after an episode" if episodes else ""))
         assert code in EXIT_CODES, (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
-        if code == 1 and not episodes:
+        if code != 0:
             assert directories(tmp) == before, (argv, err.getvalue())
         if argv[0] == "run" and code == 0:
             out_dir = argv[argv.index("--out-dir") + 1] if "--out-dir" in argv else "out"

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib
 import io
 import json
 import struct
@@ -17,6 +18,9 @@ from frsicl.harness import (ExperimentSpec, ReplayDivergence,
 from frsicl.ppo import init_params, save_params
 
 from oracles import fmt
+
+# the module: frsicl.ppo re-exports its train function under the same name
+ppo_train = importlib.import_module("frsicl.ppo.train")
 
 CFG = WorldConfig()
 
@@ -165,8 +169,9 @@ class TestRunExperiment:
         assert len(log) == 30
         json.loads(log[0])
 
+    @pytest.mark.parametrize("policy", ["maxaoi", "icl"])
     def test_each_run_streams_its_steps_and_a_failing_run_leaves_none(
-            self, tmp_path, monkeypatch):
+            self, tmp_path, monkeypatch, policy):
         out = tmp_path / "out"
         real, written = harness.build_policy, []
 
@@ -180,8 +185,8 @@ class TestRunExperiment:
 
         monkeypatch.setattr(harness, "build_policy", build)
         with pytest.raises(ConfigError, match="third run"):
-            run_experiment(spec_for(tmp_path, seeds=(0, 1, 2)))
-        assert written == [None, 1 + 30, 1 + 2 * 30]
+            run_experiment(spec_for(tmp_path, policy=policy, seeds=(0, 1, 2)))
+        assert written == [0, 1 + 30, 1 + 2 * 30]
         assert not out.exists()
 
     def test_empty_seed_list_header_only(self, tmp_path):
@@ -360,6 +365,15 @@ class TestCli:
                          "--params", str(out / "ppo_params.bin")]) == EXIT_OK
         assert "time_avg_aoi_s" in capsys.readouterr().out
 
+    def test_file_that_cannot_be_published_exits_2_and_leaves_no_partial(
+            self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "summary.csv").mkdir(parents=True)  # a directory where a file goes
+        assert cli_main(["run", "--policy", "maxaoi", "--out-dir", str(out)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert f"cannot write into {out}" in err and "summary.csv" in err
+        assert not list(out.glob("*.partial"))
+
     def test_ppo_run_without_params_exits_1(self, tmp_path, capsys):
         code = cli_main(["run", "--policy", "ppo",
                          "--out-dir", str(tmp_path / "out")])
@@ -436,6 +450,33 @@ class TestCli:
         assert f"episodes must be at least 1, got {episodes}" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_training_that_overflows_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        # valid, but the AoI of the first frame is about 1e300 s
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"dt_s": 1e300, "v_max_mps": 1e-300,
+                                        "aoi_cap_s": None, "n_steps": 2}))
+        out = tmp_path / "out"
+        assert cli_main(["train-ppo", "--config", str(cfg_path), "--episodes", "3",
+                         "--out-dir", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "error: non-finite loss at episode 0" in err
+        assert "Traceback" not in err and "Warning" not in err
+        assert not out.exists()
+
+    def test_train_ppo_into_a_file_exits_2_before_training(self, tmp_path, capsys,
+                                                          monkeypatch):
+        path = tmp_path / "file"
+        path.write_text("not a directory\n")
+
+        def no_episode(*args, **kwargs):
+            raise AssertionError("training ran an episode")
+
+        monkeypatch.setattr(ppo_train, "run_episode", no_episode)
+        assert cli_main(["train-ppo", "--episodes", "1",
+                         "--out-dir", str(path)]) == EXIT_IO
+        assert f"I/O error: [Errno 17] File exists: '{path}'" in capsys.readouterr().err
+        assert path.read_text() == "not a directory\n"
 
     @pytest.mark.parametrize("timeout", ["nan", "inf", "0", "-2"])
     def test_llm_timeout_must_be_finite_and_positive(self, tmp_path, capsys, timeout):
@@ -635,6 +676,13 @@ class TestPpoParamsFileCli:
         assert cli_main(argv) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert match in err and "Traceback" not in err
+
+    def test_failed_run_removes_every_directory_it_made(self, tmp_path, capsys):
+        path = _params_file(tmp_path, b"\x01", b"")
+        assert cli_main(["run", "--policy", "ppo", "--ppo-params", path,
+                         "--out-dir", str(tmp_path / "new" / "deeper")]) == EXIT_VALIDATION
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
 
     def test_ppo_sweep_over_a_misfit_count_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -20,7 +20,7 @@ from frsicl.ppo import (AdamState, Minibatch, PpoConfig, adam_update,
                         train, velocity_from_bin)
 from frsicl.ppo.io import MAGIC, ParamsFileError
 from frsicl.ppo.net import N_VELOCITY_BINS, PARAM_ORDER
-from frsicl.ppo.train import PpoPolicy, default_world_factory
+from frsicl.ppo.train import PpoPolicy, default_world_factory, write_curve
 
 from oracles import central_difference_grad, per_array_adam
 
@@ -454,7 +454,7 @@ class TestTrainEvaluate:
 
     def test_curve_csv_written(self, tmp_path):
         path = str(tmp_path / "curve.csv")
-        train(self.CFG, self.PPO, seed=1, curve_path=path)
+        write_curve(train(self.CFG, self.PPO, seed=1).curve, path)
         lines = open(path).read().splitlines()
         assert lines[0] == "episode,mean_reward,mean_aoi"
         assert len(lines) == 1 + self.PPO.episodes
@@ -472,8 +472,8 @@ def sha256(path) -> str:
 
 class TestSharedLinkBudgets:
     def test_default_training_is_pinned(self, tmp_path):
-        result = train(WorldConfig(), PpoConfig(episodes=100), seed=0,
-                       curve_path=str(tmp_path / "learning_curve.csv"))
+        result = train(WorldConfig(), PpoConfig(episodes=100), seed=0)
+        write_curve(result.curve, str(tmp_path / "learning_curve.csv"))
         save_params(result.params, str(tmp_path / "ppo_params.bin"))
         assert sha256(tmp_path / "ppo_params.bin") == TRAIN_PARAMS_SHA256
         assert sha256(tmp_path / "learning_curve.csv") == TRAIN_CURVE_SHA256
@@ -555,7 +555,8 @@ class TestTrainingEpisodes:
 
         monkeypatch.setattr(ppo_train, "run_episode", spy)
         result = train(WorldConfig(n_steps=40), PpoConfig(episodes=20, steps_per_episode=25),
-                       seed=2, curve_path=str(tmp_path / "learning_curve.csv"))
+                       seed=2)
+        write_curve(result.curve, str(tmp_path / "learning_curve.csv"))
         save_params(result.params, str(tmp_path / "ppo_params.bin"))
         assert sha256(tmp_path / "ppo_params.bin") == TRUNCATED_PARAMS_SHA256
         assert sha256(tmp_path / "learning_curve.csv") == TRUNCATED_CURVE_SHA256
